@@ -17,15 +17,17 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
 from . import __version__, fock, meanfield, pseudospin, steadystate, thermo
 from .core import ModelParams, validate_params
-from .errors import CqaFermiError, DegenerateKernelError, NoBistableWindowError
-
-JOBS_ENV = "CQA_FERMI_JOBS"
+from .errors import (
+    CqaFermiError,
+    DegenerateKernelError,
+    IterationLimitError,
+    NoBistableWindowError,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -123,8 +125,18 @@ def write_output(cfg: RunConfig, rows) -> None:
     out_dir = os.path.dirname(os.path.abspath(cfg.output))
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")
-    with open(cfg.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # write a sibling temporary file and rename it over the target, so a
+    # failed write never leaves a truncated output behind
+    tmp = os.path.join(out_dir, f".{os.path.basename(cfg.output)}."
+                                f"{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, cfg.output)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_header(path: str) -> RunConfig:
@@ -153,52 +165,22 @@ def read_header(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# workers
-# ---------------------------------------------------------------------------
-
-
-def _phase_point(args):
-    mu, delta, L, bc, e_c, kappa = args
-    p = ModelParams(L=L, bc=bc, mu=mu, delta=delta, e_c=e_c, kappa=kappa)
-    tbl = steadystate.build_coefficients(p)
-    density = steadystate.mean_density(tbl)
-    anom = abs(steadystate.dark_to_physical(
-        steadystate.anomalous_correlation(tbl, 1)))
-    norm = abs(steadystate.dark_to_physical(
-        steadystate.normal_correlation(tbl, 1)))
-    return (mu, delta, density, anom, norm)
-
-
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, int(os.environ.get(JOBS_ENV, "1")))
-
-
-def _map_points(worker, points, jobs):
-    if jobs == 1:
-        return [worker(pt) for pt in points]
-    with Pool(jobs) as pool:
-        return pool.map(worker, points)  # order preserved deterministically
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_phase_diagram(args) -> int:
-    mus = parse_grid(args.mu)
-    deltas = parse_grid(args.delta)
-    points = [(mu, d, args.L, args.bc, args.e_c, args.kappa)
-              for mu in mus for d in deltas]
-    rows = _map_points(_phase_point, points, _jobs(args))
+    rows = steadystate.grid_observables(
+        args.L, args.bc, parse_grid(args.mu), parse_grid(args.delta),
+        args.e_c, args.kappa)
+    columns = ["mu", "delta", "density"]
+    if steadystate.has_correlations(args.L, args.bc):
+        columns += ["anomalous_nn_abs", "normal_2_abs"]
     cfg = RunConfig(
         command="phase-diagram",
         flags={"L": args.L, "bc": args.bc, "kappa": args.kappa,
                "e_c": args.e_c, "mu": args.mu, "delta": args.delta},
-        columns=["mu", "delta", "density", "anomalous_nn_abs",
-                 "normal_2_abs"],
+        columns=columns,
         output=args.output, fmt=args.format,
     )
     write_output(cfg, rows)
@@ -359,8 +341,12 @@ def _cmd_verify(args) -> int:
     for d in dark[1:]:
         n_dark = n_dark + (d.dag() @ d).matrix
     dens = float(np.vdot(psi, n_dark @ psi).real) / (2 * p6.L)
+    # both closed-form routes: one table, and the phase-diagram grid
+    grid = steadystate.grid_observables(p6.L, p6.bc, [p6.mu], [p6.delta],
+                                        p6.e_c, p6.kappa)
+    closed = (steadystate.mean_density(tbl), grid[0][2])
     checks.append(("closed-form density vs Fock L=6",
-                   abs(dens - steadystate.mean_density(tbl)) < 1e-9))
+                   all(abs(dens - d) < 1e-9 for d in closed)))
     ok = all(flag for _, flag in checks)
     for name, flag in checks:
         print(("ok   " if flag else "FAIL ") + name)
@@ -368,6 +354,13 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive_float(text: str) -> float:
+    val = float(text)
+    if not val > 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return val
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,11 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker processes (default ${JOBS_ENV} or 1)")
 
     pd = sub.add_parser("phase-diagram",
-                        help="density and correlation grids over (mu, delta)")
+                        help="density and correlation grids over (mu, delta); "
+                             "density only unless the chain is an even ring")
     pd.add_argument("--L", type=int, default=400)
     pd.add_argument("--bc", choices=("pbc", "obc"), default="pbc")
     pd.add_argument("--kappa", type=float, default=0.01)
@@ -411,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--kappa", type=float, default=0.0)
     cl.add_argument("--mode", choices=("weak", "full"), default=None,
                     help="default: weak for kappa<=1e-6, else full")
-    cl.add_argument("--tol", type=float, default=1e-6)
+    cl.add_argument("--tol", type=_positive_float, default=1e-6,
+                    help="bisection bracket width, > 0")
     common(cl)
 
     mfp = sub.add_parser("mean-field", help="self-consistent density roots")
@@ -473,7 +466,8 @@ def main(argv=None) -> int:
         args.mode = "weak" if args.kappa <= 1e-6 else "full"
     try:
         return _COMMANDS[args.command](args)
-    except (DegenerateKernelError, NoBistableWindowError) as exc:
+    except (DegenerateKernelError, NoBistableWindowError,
+            IterationLimitError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (CqaFermiError, ValueError) as exc:

@@ -53,6 +53,10 @@ class DegenerateKernelError(CqaFermiError, RuntimeError):
     """More than one candidate steady state found."""
 
 
+class IterationLimitError(CqaFermiError, RuntimeError):
+    """A bisection reached its iteration cap before its tolerance."""
+
+
 class OddParityStateError(CqaFermiError, ValueError):
     """Partial trace requires a parity-even pure state."""
 

@@ -49,7 +49,9 @@ def _logsumexp_real_np(log_vals: np.ndarray) -> float:
     shift = float(np.max(log_vals))
     if shift == NEG_INF:
         return NEG_INF
-    return shift + math.log(float(np.sum(np.exp(log_vals - shift))))
+    terms = log_vals - shift
+    np.exp(terms, out=terms)
+    return shift + math.log(float(np.sum(terms)))
 
 
 @_njit(cache=True)
@@ -69,13 +71,22 @@ def _logsumexp_real_nb(log_vals):  # pragma: no cover - jitted
     return shift + math.log(acc)
 
 
-def _logsumexp_complex_np(log_mag: np.ndarray, phase: np.ndarray):
+def _logsumexp_complex_np(log_mag: np.ndarray, phase=None, factor=None):
+    """(ln|s|, arg s) of s = sum exp(log_mag + i phase).
+
+    ``factor`` = exp(i phase) may be passed instead of ``phase`` when the
+    same phases recur across calls.
+    """
     if log_mag.size == 0:
         return NEG_INF, 0.0
     shift = float(np.max(log_mag))
     if shift == NEG_INF:
         return NEG_INF, 0.0
-    acc = np.sum(np.exp(log_mag - shift) * np.exp(1j * phase))
+    if factor is None:
+        factor = np.exp(1j * phase)
+    terms = log_mag - shift
+    np.exp(terms, out=terms)
+    acc = np.sum(terms * factor)
     if acc == 0:
         return NEG_INF, 0.0
     return shift + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
@@ -261,8 +272,13 @@ def _rhs_nb(s, z, dk, mu, e_c, kappa, L, fs, out_s, out_z):  # pragma: no cover
 
 
 if USING_NUMBA:
+    def logsumexp_complex(log_mag, phase=None, factor=None):
+        # the jitted loop takes phases; a precomputed factor stays on numpy
+        if factor is None:
+            return _logsumexp_complex_nb(log_mag, phase)
+        return _logsumexp_complex_np(log_mag, factor=factor)
+
     logsumexp_real = _logsumexp_real_nb
-    logsumexp_complex = _logsumexp_complex_nb
     coefficient_logs = _coefficient_logs_nb
     rk4_moments = _rk4_moments_nb
 else:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NoBistableWindowError
+from .errors import IterationLimitError, NoBistableWindowError
 
 RESIDUAL_TOL = 1e-12
+# far above the ~60 halvings that take a bracket to float resolution, where
+# the equal-area bisection stops on its own
+MAX_BISECTIONS = 200
 
 
 def self_consistency_residual(nbar: float, mu: float, delta: float,
@@ -170,13 +173,18 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
     """Equal-area transition point mu* of the mean-field S-curve.
 
     Bisects on the signed area integral(mu(n) - mu*) dn between the outer
-    roots at mu*, following the multivalued branch through the fold region.
+    roots at mu*, following the multivalued branch through the fold region,
+    until the bracket is narrower than ``tol`` (> 0) or at float resolution.
 
     Raises
     ------
     NoBistableWindowError
         If no three-root window exists for any mu.
+    IterationLimitError
+        If MAX_BISECTIONS halvings do not finish.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     mu_lo, mu_hi = _fold_window(delta, e_c, kappa)
 
     def area(mu_star):
@@ -198,14 +206,19 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
     fa, fb = area(a), area(b)
     if fa * fb > 0:
         raise NoBistableWindowError("equal-area condition has no sign change")
-    while b - a > tol:
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
+        if b - a <= tol or mid in (a, b):
+            return mid
         fm = area(mid)
         if fa * fm <= 0:
             b, fb = mid, fm
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
+    raise IterationLimitError(
+        f"maxwell_transition: bracket [{a!r}, {b!r}] still wider than "
+        f"tol={tol!r} after {MAX_BISECTIONS} halvings"
+    )
 
 
 def nk_steady(k, nbar: float, mu: float, delta: float, e_c: float,

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import DomainError, NoBistableWindowError
+from .errors import DomainError, IterationLimitError, NoBistableWindowError
 
 FULL = "full"
 WEAK = "weak"
+# far above the ~60 halvings that take a bracket of width < 1 to float
+# resolution, where the loop stops on its own
+MAX_BISECTIONS = 200
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -203,28 +206,38 @@ def critical_delta(mu: float, kappa: float = 0.0, mode: str = WEAK,
                    tol: float = 1e-6, grid_size: int = 4096) -> float:
     """First-order transition point delta_crit(mu) by bisection.
 
-    Bisects on the sign of the well-depth difference.  A NoBistableWindow
+    Bisects on the sign of the well-depth difference until the bracket is
+    narrower than ``tol`` (> 0) or at float resolution.  A NoBistableWindow
     error is raised when the crossing is a smooth crossover instead of a
     two-well exchange (large kappa pushes the terminal point below the
-    requested mu).
+    requested mu); IterationLimitError if MAX_BISECTIONS halvings do not
+    finish.
     """
     if not 0.0 < mu < 0.5:
         raise DomainError("critical line is defined for 0 < mu < 1/2")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     lo, hi = 1e-4, 0.45
     s_lo, _ = _well_sign(mu, kappa, lo, mode, grid_size)
     s_hi, _ = _well_sign(mu, kappa, hi, mode, grid_size)
     if s_lo < 0 or s_hi > 0:
         raise NoBistableWindowError("no low-to-high crossing in delta scan")
     two_well_seen = False
-    while hi - lo > tol:
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid in (lo, hi):
+            break
         s, prof = _well_sign(mu, kappa, mid, mode, grid_size)
         two_well_seen = two_well_seen or prof.two_wells
         if s > 0:
             lo = mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
+    else:
+        raise IterationLimitError(
+            f"critical_delta: bracket [{lo!r}, {hi!r}] still wider than "
+            f"tol={tol!r} after {MAX_BISECTIONS} halvings"
+        )
     if not two_well_seen:
         raise NoBistableWindowError(
             f"crossing at delta~{mid:.4g} is a single-well crossover"

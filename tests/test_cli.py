@@ -1,10 +1,18 @@
 import json
-import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from cqa_fermi import cli
+from cqa_fermi import cli, meanfield, steadystate, thermo
+from cqa_fermi.core import ModelParams
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def normalize(text):
+    """Output lines without the commit line, which changes every commit."""
+    return [l for l in text.splitlines() if not l.startswith("# git ")]
 
 
 class TestParseGrid:
@@ -54,13 +62,36 @@ class TestCommands:
         data = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(data) == 4
 
-    def test_phase_diagram_parallel_matches_serial(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["phase-diagram", "--L", "30", "--kappa", "0.05",
-                "--mu", "0.1:0.3:3", "--delta", "0.02:0.06:2"]
-        assert run(args + ["--output", str(a), "--jobs", "1"]) == 0
-        assert run(args + ["--output", str(b), "--jobs", "2"]) == 0
-        assert a.read_text() == b.read_text()
+    def test_phase_diagram_bytes_pinned(self, tmp_path):
+        # recorded with the per-point implementation; the grid has a
+        # delta = 0 column and mu values where Re(mu~ - m e_c/L) changes
+        # sign inside the chain (exactly zero at m = 12 and 15 for
+        # mu = 0.2 and 0.25)
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--L", "60", "--kappa", "0.05",
+                    "--mu=-0.1,0.2,0.25,0.35", "--delta", "0,0.02,0.1,0.3",
+                    "--output", str(out)]) == 0
+        pinned = (DATA / "phase_diagram_L60.csv").read_text()
+        assert normalize(out.read_text()) == normalize(pinned)
+
+    @pytest.mark.parametrize("L,bc", [(24, "obc"), (25, "pbc"), (25, "obc")])
+    def test_phase_diagram_density_only(self, tmp_path, L, bc):
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--L", str(L), "--bc", bc,
+                    "--kappa", "0.05", "--mu", "0.1,0.2", "--delta", "0,0.05",
+                    "--output", str(out)]) == 0
+        text = out.read_text()
+        assert f"# flag bc = {bc}" in text
+        cfg = cli.read_header(str(out))
+        assert cfg.columns == ["mu", "delta", "density"]
+        rows = [l.split(",") for l in text.splitlines()
+                if not l.startswith("#")]
+        assert len(rows) == 4
+        for mu, delta, density in rows:
+            tbl = steadystate.build_coefficients(ModelParams(
+                L=L, bc=bc, mu=float(mu), delta=float(delta), e_c=1.0,
+                kappa=0.05))
+            assert density == cli.fmt(steadystate.mean_density(tbl))
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -145,11 +176,74 @@ class TestExitCodes:
                     "--mode", "full", "--output", str(out)])
         assert code == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    def test_non_positive_tol_rejected(self, tol):
+        assert run(["critical-line", "--mu", "0.2",
+                    "--tol", tol]) == cli.EXIT_VALIDATION
 
-def test_jobs_env_default(monkeypatch, tmp_path):
-    monkeypatch.setenv(cli.JOBS_ENV, "2")
-    out = tmp_path / "pd.csv"
-    assert run(["phase-diagram", "--L", "20", "--kappa", "0.05",
-                "--mu", "0.1:0.2:2", "--delta", "0.02:0.04:2",
-                "--output", str(out)]) == 0
-    assert os.path.exists(out)
+    def test_jobs_flag_rejected(self):
+        assert run(["phase-diagram", "--L", "20", "--mu", "0.1",
+                    "--delta", "0.02", "--jobs", "2"]) == cli.EXIT_VALIDATION
+
+    def test_bisection_cap_exits_three(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(thermo, "MAX_BISECTIONS", 3)
+        out = tmp_path / "cl.csv"
+        assert run(["critical-line", "--mu", "0.2", "--tol", "1e-6",
+                    "--output", str(out)]) == cli.EXIT_NUMERICAL
+        assert not out.exists()
+
+    def test_maxwell_cap_exits_three(self, monkeypatch):
+        monkeypatch.setattr(meanfield, "MAX_BISECTIONS", 3)
+        assert run(["mean-field", "--mu", "0.2", "--delta", "0.05",
+                    "--maxwell"]) == cli.EXIT_NUMERICAL
+
+
+def test_tiny_tol_stops_at_float_resolution(tmp_path):
+    # a tol below the float spacing near the root once looped forever
+    out = tmp_path / "cl.csv"
+    assert run(["critical-line", "--mu", "0.2", "--kappa", "1e-8",
+                "--tol", "1e-300", "--output", str(out)]) == 0
+    cfg = cli.read_header(str(out))
+    assert float(cfg.summary["delta_crit"]) == pytest.approx(0.021226,
+                                                             abs=2e-4)
+
+
+class TestWriteOutput:
+    def config(self, path):
+        return cli.RunConfig(command="test", flags={}, columns=["x"],
+                             output=str(path))
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        out.write_text("previous result\n")
+
+        class DiskFull:
+            """File handle that writes half its text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "open",
+                            lambda *a, **k: DiskFull(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            cli.write_output(self.config(out), [(1.0,)])
+        assert out.read_text() == "previous result\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("previous result\n")
+        cli.write_output(self.config(out), [(2.0,)])
+        assert out.read_text().splitlines()[-1] == "2"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]

@@ -106,6 +106,15 @@ class TestMaxwell:
         with pytest.raises(NoBistableWindowError):
             mf.maxwell_transition(0.05, 1.0, 1.0)
 
+    def test_non_positive_tol_rejected(self):
+        with pytest.raises(ValueError):
+            mf.maxwell_transition(0.05, 1.0, 0.01, tol=0.0)
+
+    def test_tol_below_float_spacing_terminates(self):
+        mu_star = mf.maxwell_transition(0.05, 1.0, 0.01, tol=1e-300)
+        assert mu_star == pytest.approx(
+            mf.maxwell_transition(0.05, 1.0, 0.01), abs=1e-7)
+
 
 def _exact_transition_mu(delta, kappa, lo=0.05, hi=0.49):
     """Invert the critical line: mu where delta_crit(mu) = delta."""

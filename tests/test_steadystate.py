@@ -231,3 +231,39 @@ def test_every_closed_form_matches_fock_at_L8():
 def test_dark_to_physical_halves():
     assert ss.dark_to_physical(0.5) == 0.25
     assert ss.dark_to_physical(1 + 2j) == 0.5 + 1j
+
+
+class TestGridObservables:
+    def per_point(self, L, bc, mu, delta, e_c, kappa):
+        tbl = ss.build_coefficients(
+            ModelParams(L=L, bc=bc, mu=mu, delta=delta, e_c=e_c, kappa=kappa))
+        row = (mu, delta, ss.mean_density(tbl))
+        if not ss.has_correlations(L, bc):
+            return row
+        return row + (
+            abs(ss.dark_to_physical(ss.anomalous_correlation(tbl, 1))),
+            abs(ss.dark_to_physical(ss.normal_correlation(tbl, 1))))
+
+    def test_rows_equal_per_point_functions_at_L1e5(self):
+        # bit-for-bit: the grid reuses tables, it never approximates
+        mus, deltas = [0.15, 0.25], [0.0, 0.02, 0.0224]
+        rows = ss.grid_observables(100_000, PBC, mus, deltas, 1.0, 1e-8)
+        expected = [self.per_point(100_000, PBC, mu, d, 1.0, 1e-8)
+                    for mu in mus for d in deltas]
+        assert rows == expected
+
+    @pytest.mark.parametrize("L,bc", [(2, PBC), (4, PBC), (9, PBC),
+                                      (24, OBC), (25, OBC)])
+    def test_small_and_density_only_chains(self, L, bc):
+        mus, deltas = [-0.3, 0.2], [0.0, 0.05, 0.4]
+        rows = ss.grid_observables(L, bc, mus, deltas, 1.0, 0.05)
+        assert rows == [self.per_point(L, bc, mu, d, 1.0, 0.05)
+                        for mu in mus for d in deltas]
+        assert {len(r) for r in rows} == {5 if ss.has_correlations(L, bc)
+                                          else 3}
+
+    def test_validates_parameters(self):
+        with pytest.raises(ValueError):
+            ss.grid_observables(8, PBC, [0.2], [0.1, -0.1], 1.0, 0.05)
+        with pytest.raises(ValueError):
+            ss.grid_observables(8, PBC, [0.2], [0.1], 1.0, 0.0)

@@ -102,6 +102,11 @@ class TestCriticalDelta:
         with pytest.raises(DomainError):
             thermo.critical_delta(0.7)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(DomainError):
+            thermo.critical_delta(0.2, tol=tol)
+
 
 class TestDensityThermo:
     @pytest.mark.parametrize("delta", [0.020, 0.0224])
