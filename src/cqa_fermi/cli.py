@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -254,11 +255,9 @@ def _cmd_tfim(args) -> int:
     p = validate_params(ModelParams(L=args.L, bc="pbc", mu=args.mu,
                                     delta=args.delta, e_c=args.e_c,
                                     kappa=args.kappa))
-    f = pseudospin.integrate_moments(
-        pseudospin.vacuum_state(args.L, pseudospin.FERMION), p,
-        args.t_final, args.dt, n_samples=args.samples)
-    s = pseudospin.integrate_moments(
-        pseudospin.vacuum_state(args.L, pseudospin.SPIN), p,
+    f, s = pseudospin.integrate_moments(
+        [pseudospin.vacuum_state(args.L, kind)
+         for kind in (pseudospin.FERMION, pseudospin.SPIN)], p,
         args.t_final, args.dt, n_samples=args.samples)
     diff = np.maximum(np.abs(f.s_minus - s.s_minus).max(axis=1),
                       np.abs(f.s_z - s.s_z).max(axis=1))
@@ -356,6 +355,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 def _positive_float(text: str) -> float:
     val = float(text)
     if not val > 0.0:  # also rejects nan
@@ -375,6 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
+        # a value such as "-0.1,0.2" or "-1:1:5" is a negative grid, not a
+        # flag; argparse by default only lets plain negative numbers through
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.add_argument("--output", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

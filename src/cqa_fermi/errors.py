@@ -34,7 +34,7 @@ class DomainError(CqaFermiError, ValueError):
 
 
 class StepTooLargeError(CqaFermiError, ValueError):
-    """Integrator step exceeds the stability cap."""
+    """Integrator step exceeds the accuracy cap of the fixed-step RK4."""
 
 
 class InvalidStateError(CqaFermiError, ValueError):

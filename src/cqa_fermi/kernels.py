@@ -1,16 +1,16 @@
-"""Dual-backend numeric kernels: numba-jitted loops with a numpy fallback.
-
-The hot inner loops of the package live here:
+"""Numeric kernels: the hot inner loops of the package.
 
 * cumulative log-domain coefficient tables (up to ~5e4 factors per call),
 * max-shifted log-sum-exp reductions (real and complex),
-* the fixed-step RK4 integrator for the per-mode moment equations.
+* the fixed-step RK4 integrator for the per-mode moment equations, batched
+  over trajectories.
 
-Backend selection is controlled by the environment variable
-``CQA_FERMI_NUMBA``: unset or ``"1"`` uses numba when importable, ``"0"``
-forces the pure-numpy path.  ``benchmarks/bench_kernels.py`` compares the
-two.  Both paths compute identical quantities; last-ulp differences are
-possible because summation orders differ.
+The tables and reductions have numba-jitted twins, selected by the
+environment variable ``CQA_FERMI_NUMBA``: unset or ``"1"`` uses numba when
+importable, ``"0"`` forces the pure-numpy path.  ``benchmarks/bench_kernels.py``
+times the kernels of the active backend.  Both paths compute identical
+quantities; last-ulp differences are possible because summation orders
+differ.  The RK4 integrator is numpy-only.
 """
 
 from __future__ import annotations
@@ -164,111 +164,114 @@ def _coefficient_logs_nb(log_prefactor, mu, kappa, e_c, L, n_max):  # pragma: no
 # dsz/dt = -kappa (s_z + 1) + 4i dk (s- - conj(s-))
 #
 # with nbar = mean(s_z + 1)/2 recomputed from the instantaneous state; the
-# fs flag keeps the 1/L terms that distinguish the finite-size fermion
-# closure from the spin closure (fs = 0).
+# fs flag (1 or 0) keeps the 1/L terms that distinguish the finite-size
+# fermion closure from the spin closure (fs = 0).
+#
+# T trajectories of K pairs are integrated together as (T, K) arrays, each
+# with its own mu, e_c, kappa, fs and drive; nbar is reduced per trajectory
+# along the contiguous K axis.  At small K the time goes into per-call
+# overhead, not arithmetic, so every loop-invariant product is formed once,
+# the per-trajectory scalars stay Python floats, and numeric constants are
+# 0-d arrays, which numpy does not have to convert on every call.  Every
+# element sees the same IEEE operations in the same order as in the
+# one-trajectory formula above.
 
-def _moment_rhs_np(s_minus, s_z, dk, mu, e_c, kappa, L, fs):
-    nbar = 0.5 * float(np.mean(s_z) + 1.0)
-    coef = 2j * (mu - e_c * nbar - fs * e_c / (2.0 * L)) - kappa
-    ds_minus = coef * s_minus + 2j * dk * s_z
-    if fs:
-        ds_minus = ds_minus - 1j * (e_c / L) * s_minus * (s_z + 2.0)
-    ds_z = -kappa * (s_z + 1.0) - 8.0 * dk * s_minus.imag
-    return ds_minus, ds_z
+_ONE, _TWO = np.array(1.0), np.array(2.0)
 
 
-def _rk4_moments_np(s_minus, s_z, dk, mu, e_c, kappa, L, fs, dt, n_steps, stride):
+def _moment_constants(dk, mu, e_c, kappa, L, fs):
+    """Loop-invariant factors of the RHS; ``dk`` has shape (T, K)."""
+    mu, e_c, kappa, fs = (np.asarray(a, dtype=float).ravel()
+                          for a in (mu, e_c, kappa, fs))
+    scalars = list(zip(mu.tolist(), e_c.tolist(),
+                       (fs * e_c / (2.0 * L)).tolist(), kappa.tolist()))
+    # the pair-breaking term enters only when some trajectory keeps it
+    coupling = (1j * (fs * e_c / L))[:, None] if fs.any() else None
+    return scalars, 2j * dk, coupling, -kappa[:, None], 8.0 * dk
+
+
+def _nbar(z):
+    """Per-trajectory density (mean(s_z) + 1)/2 as Python floats."""
+    K = z.shape[1]
+    return [0.5 * (total / K + 1.0)
+            for total in np.add.reduce(z, axis=1).tolist()]
+
+
+def _moment_rhs(s, z, nbar, consts):
+    scalars, two_i_dk, coupling, neg_kappa, eight_dk = consts
+    coef = np.array([[2j * (mu - e_c * n - shift) - kappa]
+                     for (mu, e_c, shift, kappa), n in zip(scalars, nbar)])
+    ds = coef * s + two_i_dk * z
+    if coupling is not None:
+        ds = ds - coupling * s * (z + _TWO)
+    dz = neg_kappa * (z + _ONE) - eight_dk * s.imag
+    return ds, dz
+
+
+def _batch(s_minus, s_z, dk, mu):
+    """(T, K) state copies and drive of the T = len(mu) flat trajectories."""
+    T = np.size(mu)
+    K = np.size(s_minus) // T
+    if K == 0 or T * K != np.size(s_minus):
+        raise ValueError(f"{np.size(s_minus)} pairs do not split into "
+                         f"{T} trajectories")
+    return (np.array(s_minus, dtype=np.complex128).reshape(T, K),
+            np.array(s_z, dtype=float).reshape(T, K),
+            np.asarray(dk, dtype=float).reshape(T, K))
+
+
+def moment_rhs(s_minus, s_z, dk, mu, e_c, kappa, L, fs, nbar=None):
+    """(ds_minus, ds_z) of T trajectories, laid out as in :func:`rk4_moments`.
+
+    ``nbar``, one value per trajectory, replaces the density recomputed
+    from ``s_z``.
+    """
+    s, z, dk = _batch(s_minus, s_z, dk, mu)
+    if nbar is None:
+        nbar = _nbar(z)
+    else:
+        nbar = np.asarray(nbar, dtype=float).ravel().tolist()
+    ds, dz = _moment_rhs(s, z, nbar,
+                         _moment_constants(dk, mu, e_c, kappa, L, fs))
+    return ds.ravel(), dz.ravel()
+
+
+def rk4_moments(s_minus, s_z, dk, mu, e_c, kappa, L, fs, dt, n_steps, stride):
+    """Fixed-step RK4 for T trajectories that share L, dt and the sampling.
+
+    ``s_minus``, ``s_z`` and ``dk`` hold the T trajectories back to back
+    (length T*K); ``mu``, ``e_c``, ``kappa`` and ``fs`` have length T.
+    Returns records of shape (T, n_steps // stride + 1, K): the state at
+    step 0 and after every ``stride``-th step.  Trajectory t is the
+    contiguous view ``records[t]``.
+    """
+    s, z, dk = _batch(s_minus, s_z, dk, mu)
+    consts = _moment_constants(dk, mu, e_c, kappa, L, fs)
+    T, K = s.shape
     n_rec = n_steps // stride + 1
-    K = s_minus.shape[0]
-    rec_minus = np.empty((n_rec, K), dtype=np.complex128)
-    rec_z = np.empty((n_rec, K))
-    rec_minus[0] = s_minus
-    rec_z[0] = s_z
-    s = s_minus.copy()
-    z = s_z.copy()
-    r = 1
+    rec_minus = np.empty((T, n_rec, K), dtype=np.complex128)
+    rec_z = np.empty((T, n_rec, K))
+    rec_minus[:, 0] = s
+    rec_z[:, 0] = z
+    half_dt, full_dt, sixth_dt = (np.array(v) for v in (0.5 * dt, dt,
+                                                        dt / 6.0))
     for step in range(1, n_steps + 1):
-        k1s, k1z = _moment_rhs_np(s, z, dk, mu, e_c, kappa, L, fs)
-        k2s, k2z = _moment_rhs_np(s + 0.5 * dt * k1s, z + 0.5 * dt * k1z,
-                                  dk, mu, e_c, kappa, L, fs)
-        k3s, k3z = _moment_rhs_np(s + 0.5 * dt * k2s, z + 0.5 * dt * k2z,
-                                  dk, mu, e_c, kappa, L, fs)
-        k4s, k4z = _moment_rhs_np(s + dt * k3s, z + dt * k3z,
-                                  dk, mu, e_c, kappa, L, fs)
-        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-        z = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        k1s, k1z = _moment_rhs(s, z, _nbar(z), consts)
+        ts = s + half_dt * k1s
+        tz = z + half_dt * k1z
+        k2s, k2z = _moment_rhs(ts, tz, _nbar(tz), consts)
+        ts = s + half_dt * k2s
+        tz = z + half_dt * k2z
+        k3s, k3z = _moment_rhs(ts, tz, _nbar(tz), consts)
+        ts = s + full_dt * k3s
+        tz = z + full_dt * k3z
+        k4s, k4z = _moment_rhs(ts, tz, _nbar(tz), consts)
+        s = s + sixth_dt * (k1s + _TWO * k2s + _TWO * k3s + k4s)
+        z = z + sixth_dt * (k1z + _TWO * k2z + _TWO * k3z + k4z)
         if step % stride == 0:
-            rec_minus[r] = s
-            rec_z[r] = z
-            r += 1
-    return rec_minus[:r], rec_z[:r]
-
-
-@_njit(cache=True)
-def _rk4_moments_nb(s_minus, s_z, dk, mu, e_c, kappa, L, fs,
-                    dt, n_steps, stride):  # pragma: no cover - jitted
-    K = s_minus.shape[0]
-    n_rec = n_steps // stride + 1
-    rec_minus = np.empty((n_rec, K), dtype=np.complex128)
-    rec_z = np.empty((n_rec, K))
-    s = s_minus.copy()
-    z = s_z.copy()
-    for i in range(K):
-        rec_minus[0, i] = s[i]
-        rec_z[0, i] = z[i]
-    k1s = np.empty(K, dtype=np.complex128)
-    k2s = np.empty(K, dtype=np.complex128)
-    k3s = np.empty(K, dtype=np.complex128)
-    k4s = np.empty(K, dtype=np.complex128)
-    k1z = np.empty(K)
-    k2z = np.empty(K)
-    k3z = np.empty(K)
-    k4z = np.empty(K)
-    ts = np.empty(K, dtype=np.complex128)
-    tz = np.empty(K)
-    r = 1
-    for step in range(1, n_steps + 1):
-        _rhs_nb(s, z, dk, mu, e_c, kappa, L, fs, k1s, k1z)
-        for i in range(K):
-            ts[i] = s[i] + 0.5 * dt * k1s[i]
-            tz[i] = z[i] + 0.5 * dt * k1z[i]
-        _rhs_nb(ts, tz, dk, mu, e_c, kappa, L, fs, k2s, k2z)
-        for i in range(K):
-            ts[i] = s[i] + 0.5 * dt * k2s[i]
-            tz[i] = z[i] + 0.5 * dt * k2z[i]
-        _rhs_nb(ts, tz, dk, mu, e_c, kappa, L, fs, k3s, k3z)
-        for i in range(K):
-            ts[i] = s[i] + dt * k3s[i]
-            tz[i] = z[i] + dt * k3z[i]
-        _rhs_nb(ts, tz, dk, mu, e_c, kappa, L, fs, k4s, k4z)
-        for i in range(K):
-            s[i] = s[i] + (dt / 6.0) * (k1s[i] + 2.0 * k2s[i]
-                                        + 2.0 * k3s[i] + k4s[i])
-            z[i] = z[i] + (dt / 6.0) * (k1z[i] + 2.0 * k2z[i]
-                                        + 2.0 * k3z[i] + k4z[i])
-        if step % stride == 0:
-            for i in range(K):
-                rec_minus[r, i] = s[i]
-                rec_z[r, i] = z[i]
-            r += 1
-    return rec_minus[:r], rec_z[:r]
-
-
-@_njit(cache=True)
-def _rhs_nb(s, z, dk, mu, e_c, kappa, L, fs, out_s, out_z):  # pragma: no cover
-    K = s.shape[0]
-    acc = 0.0
-    for i in range(K):
-        acc += z[i]
-    nbar = 0.5 * (acc / K + 1.0)
-    coef = 2j * (mu - e_c * nbar - fs * e_c / (2.0 * L)) - kappa
-    for i in range(K):
-        ds = coef * s[i] + 2j * dk[i] * z[i]
-        if fs != 0.0:
-            ds -= 1j * (e_c / L) * s[i] * (z[i] + 2.0)
-        out_s[i] = ds
-        out_z[i] = -kappa * (z[i] + 1.0) - 8.0 * dk[i] * s[i].imag
-    return
+            rec_minus[:, step // stride] = s
+            rec_z[:, step // stride] = z
+    return rec_minus, rec_z
 
 
 if USING_NUMBA:
@@ -280,9 +283,7 @@ if USING_NUMBA:
 
     logsumexp_real = _logsumexp_real_nb
     coefficient_logs = _coefficient_logs_nb
-    rk4_moments = _rk4_moments_nb
 else:
     logsumexp_real = _logsumexp_real_np
     logsumexp_complex = _logsumexp_complex_np
     coefficient_logs = _coefficient_logs_np
-    rk4_moments = _rk4_moments_np

@@ -222,12 +222,12 @@ def test_criterion_09_tfim_equivalence_and_breakdown():
     free = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=0.0, kappa=0.01)
     inter = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=1.0, kappa=0.01)
     dt = 0.008
-    f0 = ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), free, 500.0, dt)
-    s0 = ps.integrate_moments(ps.vacuum_state(10, ps.SPIN), free, 500.0, dt)
+    # free/interacting x fermion/spin as one batched integration
+    f0, s0, f1, s1 = ps.integrate_moments(
+        [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN) * 2],
+        [free, free, inter, inter], 500.0, dt)
     agree = max(np.abs(f0.s_minus - s0.s_minus).max(),
                 np.abs(f0.s_z - s0.s_z).max())
-    f1 = ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), inter, 500.0, dt)
-    s1 = ps.integrate_moments(ps.vacuum_state(10, ps.SPIN), inter, 500.0, dt)
     diverge = max(np.abs(f1.s_minus - s1.s_minus).max(),
                   np.abs(f1.s_z - s1.s_z).max())
     ratio_err = abs(ps.interaction_breakdown(0.5, 0.1j, 1.0, 0.01).ratio - 1.5)

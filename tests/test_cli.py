@@ -32,6 +32,16 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             cli.parse_grid("0.3,0.2")
 
+    @pytest.mark.parametrize("mu", [["--mu", "-0.1,0.2"], ["--mu=-0.1,0.2"],
+                                    ["--mu", "-0.1:0.2:2"], ["--mu", "-.1,.2"]])
+    def test_negative_grid_values_parse(self, mu, capsys):
+        assert cli.main(["phase-diagram", "--L", "20", *mu,
+                         "--delta", "0.05"]) == cli.EXIT_OK
+        rows = [l for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")]
+        assert [r.split(",")[0] for r in rows] == [
+            "-0.10000000000000001", "0.20000000000000001"]
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             cli.parse_grid("1:2:3:4")
@@ -180,6 +190,17 @@ class TestExitCodes:
     def test_non_positive_tol_rejected(self, tol):
         assert run(["critical-line", "--mu", "0.2",
                     "--tol", tol]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--dt", "-0.001"], ["--t-final", "0"],
+        ["--t-final", "-5"], ["--t-final", "inf"], ["--samples", "1"],
+        ["--samples", "0"], ["--samples", "-3"],
+    ])
+    def test_tfim_bad_steps_rejected(self, tmp_path, flags):
+        out = tmp_path / "tf.csv"
+        assert run(["tfim", "--L", "6", *flags,
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_jobs_flag_rejected(self):
         assert run(["phase-diagram", "--L", "20", "--mu", "0.1",

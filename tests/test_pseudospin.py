@@ -90,6 +90,42 @@ class TestIntegration:
             ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), PARAMS_INT,
                                  10.0, 0.02)
 
+    def test_step_cap_enforced_for_every_trajectory(self):
+        fast = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=5.0,
+                           kappa=0.01)
+        with pytest.raises(StepTooLargeError):
+            ps.integrate_moments([ps.vacuum_state(10, ps.FERMION)] * 2,
+                                 [PARAMS_INT, fast], 10.0, 0.008)
+
+    @pytest.mark.parametrize("t_final,dt,n_samples", [
+        (10.0, 0.0, 11), (10.0, -0.001, 11), (10.0, float("nan"), 11),
+        (0.0, 0.008, 11), (-5.0, 0.008, 11), (float("inf"), 0.008, 11),
+        (10.0, 0.008, 1), (10.0, 0.008, 0),
+    ])
+    def test_bad_stepping_rejected(self, t_final, dt, n_samples):
+        with pytest.raises(ValueError):
+            ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), PARAMS_INT,
+                                 t_final, dt, n_samples=n_samples)
+
+    def test_batch_shape_checks(self):
+        vac = ps.vacuum_state(10, ps.FERMION)
+        with pytest.raises(ValueError):  # two states, three params
+            ps.integrate_moments([vac, vac], [PARAMS_INT] * 3, 1.0, 0.008)
+        with pytest.raises(ValueError):  # empty batch
+            ps.integrate_moments([], PARAMS_INT, 1.0, 0.008)
+        p12 = ModelParams(L=12, bc=PBC, mu=0.2, delta=0.3, e_c=1.0,
+                          kappa=0.01)
+        with pytest.raises(ValueError):  # chain lengths differ
+            ps.integrate_moments([vac, ps.vacuum_state(12, ps.FERMION)],
+                                 [PARAMS_INT, p12], 1.0, 0.008)
+
+    def test_bloch_check_runs_for_every_trajectory(self):
+        vac = ps.vacuum_state(10, ps.FERMION)
+        outside = ps.MomentState(kind=ps.FERMION, k=vac.k,
+                                 s_minus=np.full(5, 0.9 + 0j), s_z=vac.s_z)
+        with pytest.raises(InvalidStateError):
+            ps.integrate_moments([vac, outside], PARAMS_INT, 1.0, 0.008)
+
     def test_undriven_pair_decays_to_empty(self):
         st = ps.vacuum_state(10, ps.FERMION)
         sz0 = st.s_z.copy()
@@ -101,18 +137,16 @@ class TestIntegration:
         assert traj.s_z[-1][0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_free_trajectories_coincide(self):
-        f = ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), PARAMS_FREE,
-                                 500.0, 0.008)
-        s = ps.integrate_moments(ps.vacuum_state(10, ps.SPIN), PARAMS_FREE,
-                                 500.0, 0.008)
+        f, s = ps.integrate_moments(
+            [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN)],
+            PARAMS_FREE, 500.0, 0.008)
         assert np.abs(f.s_minus - s.s_minus).max() < 1e-8
         assert np.abs(f.s_z - s.s_z).max() < 1e-8
 
     def test_interacting_trajectories_diverge(self):
-        f = ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), PARAMS_INT,
-                                 500.0, 0.008)
-        s = ps.integrate_moments(ps.vacuum_state(10, ps.SPIN), PARAMS_INT,
-                                 500.0, 0.008)
+        f, s = ps.integrate_moments(
+            [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN)],
+            PARAMS_INT, 500.0, 0.008)
         diff = max(np.abs(f.s_minus - s.s_minus).max(),
                    np.abs(f.s_z - s.s_z).max())
         assert diff > 1e-3
