@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -283,17 +284,9 @@ def _cmd_htrs(args) -> int:
     gammas = parse_grid(args.gamma_p) if args.gamma_p else np.array([0.0])
     ops, H = fock._single_system(p)
     rows = []
-    for g in np.atleast_1d(gammas):
-        jumps = list(ops)
-        rates = [p.kappa] * len(ops)
-        if g > 0:
-            jumps.append(ops[0].dag())
-            rates.append(float(g))
-        liouv = fock.build_liouvillian(H, jumps, rates)
-        rho = fock.steady_state(liouv, degeneracy_check=False)
-        fwd = fock.two_time_correlation(liouv, rho, ops[0], ops[1], times)
-        rev = fock.two_time_correlation(liouv, rho, ops[1], ops[0], times)
-        for t, a, b in zip(times, fwd.values, rev.values):
+    for g in gammas:
+        pt = fock.htrs_point(ops, H, p.kappa, float(g), times)
+        for t, a, b in zip(times, pt.forward.values, pt.reversed.values):
             rows.append((g, t, a.real, a.imag, b.real, b.imag, abs(a + b)))
     cfg = RunConfig(
         command="htrs",
@@ -358,10 +351,17 @@ def _cmd_verify(args) -> int:
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
-def _positive_float(text: str) -> float:
+def _positive_finite_float(text: str) -> float:
     val = float(text)
-    if not val > 0.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not 0.0 < val < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return val
+
+
+def _sample_count(text: str) -> int:
+    val = int(text)
+    if val < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
     return val
 
 
@@ -408,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--kappa", type=float, default=0.0)
     cl.add_argument("--mode", choices=("weak", "full"), default=None,
                     help="default: weak for kappa<=1e-6, else full")
-    cl.add_argument("--tol", type=_positive_float, default=1e-6,
-                    help="bisection bracket width, > 0")
+    cl.add_argument("--tol", type=_positive_finite_float, default=1e-6,
+                    help="bisection bracket width, > 0 and finite")
     common(cl)
 
     mfp = sub.add_parser("mean-field", help="self-consistent density roots")
@@ -444,8 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
     ht.add_argument("--kappa", type=float, default=0.01)
     ht.add_argument("--gamma-p", dest="gamma_p", default="0",
                     help="pump rates, e.g. 0,0.001")
-    ht.add_argument("--t-final", dest="t_final", type=float, default=400.0)
-    ht.add_argument("--samples", type=int, default=201)
+    ht.add_argument("--t-final", dest="t_final", type=_positive_finite_float,
+                    default=400.0, help="last time of the grid, > 0")
+    ht.add_argument("--samples", type=_sample_count, default=201,
+                    help="time points from 0 to --t-final, >= 2")
     common(ht)
     return ap
 

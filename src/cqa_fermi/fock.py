@@ -38,7 +38,11 @@ class FockOperator:
     """A sparse operator on the 2^M-dimensional occupation basis.
 
     ``parity`` records whether the operator preserves fermion-number parity
-    ("even"), flips it ("odd"), or does neither ("mixed").
+    ("even"), flips it ("odd"), or is not known to do either ("mixed").
+    Products, scalar multiples and sums of like parity derive it from their
+    operands (so a cancelled sum keeps its operands' parity; the zero
+    operator has every parity); only a sum of unlike or mixed parities is
+    classified from its nonzero pattern, where zero counts as even.
     """
 
     n_modes: int
@@ -57,16 +61,33 @@ class FockOperator:
         return FockOperator(self.n_modes, self.matrix.conj().T.tocsr(), self.parity)
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix @ other.matrix).tocsr())
+        return FockOperator(self.n_modes, (self.matrix @ other.matrix).tocsr(),
+                            _PRODUCT_PARITY.get((self.parity, other.parity),
+                                                "mixed"))
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix + other.matrix).tocsr())
+        return FockOperator(self.n_modes, (self.matrix + other.matrix).tocsr(),
+                            _sum_parity(self, other))
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix - other.matrix).tocsr())
+        return FockOperator(self.n_modes, (self.matrix - other.matrix).tocsr(),
+                            _sum_parity(self, other))
 
     def __rmul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.n_modes, (scalar * self.matrix).tocsr())
+        return FockOperator(self.n_modes, (scalar * self.matrix).tocsr(),
+                            self.parity)
+
+
+_PRODUCT_PARITY = {
+    ("even", "even"): "even", ("odd", "odd"): "even",
+    ("even", "odd"): "odd", ("odd", "even"): "odd",
+}
+
+
+def _sum_parity(a: FockOperator, b: FockOperator) -> str:
+    # a mixed term can cancel against another, so only like definite
+    # parities carry over; "" makes the result classify itself
+    return a.parity if a.parity == b.parity != "mixed" else ""
 
 
 def _classify_parity(m: sp.spmatrix) -> str:
@@ -218,18 +239,48 @@ def smallest_eigenvalues(liouv: SuperOperator, k: int = 4) -> np.ndarray:
     return w[np.argsort(np.abs(w))]
 
 
+def _parity_sector(d: int, odd: bool) -> np.ndarray:
+    """Indices of row-stacked vec(rho), rho d x d, in one parity-difference
+    sector: entries whose row and column parities differ (``odd``) or agree.
+    """
+    par = _popcounts(d) & 1
+    return np.flatnonzero((par[:, None] != par[None, :]).reshape(-1) == odd)
+
+
+def _sector(A, x, odd: bool | None) -> np.ndarray:
+    """Indices on which exp(A t) x and the kernel iteration from x are exact.
+
+    That is the ``odd`` parity-difference sector when x has exactly zero
+    weight outside it and A has no nonzero coupling it to the other sector
+    (a Liouvillian whose Hamiltonian is even and whose jumps each have a
+    definite parity); otherwise, and for ``odd=None``, every index.
+    """
+    n = A.shape[0]
+    if odd is not None:
+        idx = _parity_sector(math.isqrt(n), odd)
+        inside = np.zeros(n, dtype=bool)
+        inside[idx] = True
+        coo = A.tocoo()
+        if not x[~inside].any() and np.array_equal(inside[coo.row],
+                                                   inside[coo.col]):
+            return idx
+    return np.arange(n)
+
+
 def steady_state(liouv: SuperOperator,
                  degeneracy_check: bool | None = None) -> np.ndarray:
     """Unique density matrix in the Liouvillian kernel.
 
-    Up to 4096 vectorized dimensions: shifted inverse iteration on the
-    sparse LU factorization, seeded with the maximally mixed state, with a
-    spectrum check near zero guarding the uniqueness assumption
-    (``degeneracy_check`` defaults to on there).  Beyond that the direct
-    factorization is impractical, so the maximally mixed state is evolved
-    on the even row/column parity-difference sector (which contains the
-    kernel exactly) in geometric time stages until the kernel residual
-    drops below 1e-12; the spectrum check is skipped unless forced.
+    The iteration starts from the maximally mixed state and runs on the even
+    row/column parity-difference sector, which then holds the kernel
+    exactly, whenever the Liouvillian does not couple it to the odd sector;
+    otherwise it runs on the full vectorized space.  Up to 4096 vectorized
+    dimensions: shifted inverse iteration on the sparse LU factorization,
+    with a spectrum check of the full Liouvillian near zero guarding the
+    uniqueness assumption (``degeneracy_check`` defaults to on there).
+    Beyond that the direct factorization is impractical, so the state is
+    evolved in geometric time stages until the kernel residual drops below
+    1e-12; the spectrum check is skipped unless forced.
 
     Raises
     ------
@@ -248,18 +299,23 @@ def steady_state(liouv: SuperOperator,
             raise DegenerateKernelError(
                 f"{np.sum(np.abs(w) < 1e-10)} eigenvalues within 1e-10 of zero"
             )
-    x = vec(np.eye(d, dtype=complex) / d)
+    x0 = vec(np.eye(d, dtype=complex) / d)
+    idx = _sector(A, x0, odd=False)
+    As, x = A[idx][:, idx].tocsr(), x0[idx]
     if n > 4096:
-        x = _kernel_by_evolution(A, d, x)
+        x = _kernel_by_evolution(As, x)
     else:
         lu = spla.splu(
-            (A - 1e-9 * sp.identity(n, dtype=complex, format="csc")).tocsc())
+            (As - 1e-9 * sp.identity(idx.size, dtype=complex,
+                                     format="csc")).tocsc())
         for _ in range(30):
             x = lu.solve(x)
             x = x / np.linalg.norm(x)
-            if np.linalg.norm(A @ x) < 1e-13:
+            if np.linalg.norm(As @ x) < 1e-13:
                 break
-    rho = unvec(x)
+    full = np.zeros(n, dtype=complex)
+    full[idx] = x
+    rho = unvec(full)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:  # pragma: no cover - kernel vector always has trace
@@ -273,29 +329,34 @@ def steady_state(liouv: SuperOperator,
     return rho
 
 
-def _kernel_by_evolution(A, d, x, target=1e-12, t_stage=250.0,
-                         max_stages=14):
-    """Relax toward the kernel on the even parity-difference sector."""
-    n = A.shape[0]
-    par = _popcounts(d) & 1
-    even = np.nonzero(par[np.arange(n) // d] == par[np.arange(n) % d])[0]
-    Ae = A[even][:, even].tocsr()
-    xe = x[even]
+def _kernel_by_evolution(A, x, target=1e-12, t_stage=250.0, max_stages=14):
+    """Relax x toward the kernel of A in geometric time stages."""
     for _ in range(max_stages):
-        xe = spla.expm_multiply(Ae, xe, start=0.0, stop=t_stage, num=2,
-                                endpoint=True)[-1]
-        xe = xe / np.linalg.norm(xe)
-        if np.linalg.norm(Ae @ xe) < target:
-            break
+        x = spla.expm_multiply(A, x, start=0.0, stop=t_stage, num=2,
+                               endpoint=True)[-1]
+        x = x / np.linalg.norm(x)
+        if np.linalg.norm(A @ x) < target:
+            return x
         t_stage *= 2.0
-    else:
-        raise DegenerateKernelError(
-            "evolution fallback did not isolate a kernel vector "
-            f"(residual {np.linalg.norm(Ae @ xe):.2e})"
-        )
-    out = np.zeros(n, dtype=complex)
-    out[even] = xe
-    return out
+    raise DegenerateKernelError(
+        "evolution fallback did not isolate a kernel vector "
+        f"(residual {np.linalg.norm(A @ x):.2e})"
+    )
+
+
+def _evolve_traces(A, v0, times: np.ndarray, odd: bool | None,
+                   observables) -> np.ndarray:
+    """Tr(O unvec(exp(A t) v0)) for each t of the uniform grid ``times``
+    (which starts at 0) and each sparse O, as a (times, observables) array.
+
+    The evolution runs on the sector ``_sector(A, v0, odd)``; each trace is
+    one dot product, Tr(O rho) = vec(O^T) . vec(rho), over that sector.
+    """
+    idx = _sector(A, v0, odd)
+    vt = spla.expm_multiply(A[idx][:, idx], v0[idx], start=times[0],
+                            stop=times[-1], num=times.size, endpoint=True)
+    return vt @ np.stack([vec(o.T.toarray())[idx] for o in observables],
+                         axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +408,10 @@ def _resolve_pairing(params_or_pairing, mu, e_c, kappa):
     return pm, mu, e_c, kappa
 
 
-def build_doubled_system(params_or_pairing, mu=None, e_c=None,
-                         kappa=None) -> DoubledSystem:
+def build_doubled_system(params_or_pairing, mu=None, e_c=None, kappa=None,
+                         absorber_mu=None) -> DoubledSystem:
+    """Cascaded physical block and absorber copy; ``absorber_mu`` detunes
+    the absorber block's chemical potential (default: mu)."""
     pm, mu, e_c, kappa = _resolve_pairing(params_or_pairing, mu, e_c, kappa)
     L = pm.entries.shape[0]
     if 2 * L > MAX_MODES:
@@ -358,7 +421,9 @@ def build_doubled_system(params_or_pairing, mu=None, e_c=None,
     dim = 1 << (2 * L)
     H = sp.csr_matrix((dim, dim), dtype=complex)
     H = _add_block_hamiltonian(H, pm.entries, mu, e_c, a_ops, +1.0)
-    H = _add_block_hamiltonian(H, pm.entries, mu, e_c, b_ops, -1.0)
+    H = _add_block_hamiltonian(H, pm.entries,
+                               mu if absorber_mu is None else absorber_mu,
+                               e_c, b_ops, -1.0)
     for a, b in zip(a_ops, b_ops):
         t = a.dag().matrix @ b.matrix
         H = H + (-0.5j * kappa) * (t - t.conj().T)
@@ -488,6 +553,12 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
 
     Propagates vec(Y rho_ss) with the error-controlled sparse
     matrix-exponential action and traces against X at each grid point.
+    With rho_ss in the even row/column parity-difference sector (as
+    ``steady_state`` returns it) and Y even or odd, vec(Y rho_ss) lies in
+    the even or odd sector, and only that half of the vectorized space is
+    propagated.  The full space is used when Y is mixed, when vec(Y rho_ss)
+    has any weight outside the sector, or when the Liouvillian couples the
+    two sectors.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0:
@@ -496,10 +567,8 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
         raise ValueError("times must be uniformly spaced")
     v0 = vec(Y.matrix @ rho_ss)
-    vt = spla.expm_multiply(liouv.matrix, v0, start=times[0], stop=times[-1],
-                            num=times.size, endpoint=True)
-    Xm = X.matrix
-    values = np.array([np.sum((Xm @ unvec(v)).diagonal()) for v in vt])
+    odd = {"even": False, "odd": True}.get(Y.parity)
+    values = _evolve_traces(liouv.matrix, v0, times, odd, [X.matrix])[:, 0]
     return CorrelationSeries(times=times, values=values)
 
 
@@ -534,6 +603,40 @@ def _single_system(params: ModelParams):
     return ops, H
 
 
+@dataclass(frozen=True)
+class HtrsPoint:
+    """Steady state and pair-swapped correlators at one pump rate."""
+
+    liouv: SuperOperator
+    rho: np.ndarray
+    forward: CorrelationSeries     # <c_i(t) c_j(0)>
+    reversed: CorrelationSeries    # <c_j(t) c_i(0)>
+
+
+def htrs_point(ops: list[FockOperator], H: FockOperator, kappa: float,
+               gamma_p: float, times: np.ndarray, sites: tuple[int, int] = (1, 2),
+               pump_site: int = 1) -> HtrsPoint:
+    """Loss ``kappa`` on every mode plus, for ``gamma_p`` > 0, the pump
+    D[c_site^dag] at rate ``gamma_p`` on ``pump_site``: the Liouvillian, its
+    steady state and <c_i(t) c_j(0)>, <c_j(t) c_i(0)> for (i, j) = ``sites``
+    (1-based)."""
+    if not gamma_p >= 0:  # also rejects nan
+        raise ValueError(f"gamma_p must be >= 0, got {gamma_p}")
+    i, j = sites[0] - 1, sites[1] - 1
+    jumps = list(ops)
+    rates = [kappa] * len(ops)
+    if gamma_p > 0:
+        jumps.append(ops[pump_site - 1].dag())
+        rates.append(gamma_p)
+    liouv = build_liouvillian(H, jumps, rates)
+    rho = steady_state(liouv, degeneracy_check=False)
+    return HtrsPoint(
+        liouv=liouv, rho=rho,
+        forward=two_time_correlation(liouv, rho, ops[i], ops[j], times),
+        reversed=two_time_correlation(liouv, rho, ops[j], ops[i], times),
+    )
+
+
 def htrs_breaking(params: ModelParams, pert: PerturbationSpec,
                   times: np.ndarray, sites: tuple[int, int] = (1, 2),
                   gamma_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)) -> HtrsReport:
@@ -545,26 +648,17 @@ def htrs_breaking(params: ModelParams, pert: PerturbationSpec,
     antisymmetry for odd jump operators), with pumping it does not.
     """
     ops, H = _single_system(params)
-    i, j = sites[0] - 1, sites[1] - 1
     gammas = np.array(sorted({f * pert.gamma_p for f in gamma_fractions}))
     asym = []
-    h_eff = H.matrix - 0.5j * params.kappa * total_number(params.L).matrix
-    h_eff_op = FockOperator(params.L, h_eff.tocsr())
+    h_eff = H - (0.5j * params.kappa) * total_number(params.L)
+    c_j = ops[sites[1] - 1]
     h_mismatch = 0.0
     for g in gammas:
-        jumps = list(ops)
-        rates = [params.kappa] * len(ops)
-        if g > 0:
-            jumps.append(ops[pert.site - 1].dag())
-            rates.append(g)
-        liouv = build_liouvillian(H, jumps, rates)
-        rho = steady_state(liouv, degeneracy_check=False)
-        fwd = two_time_correlation(liouv, rho, ops[i], ops[j], times)
-        rev = two_time_correlation(liouv, rho, ops[j], ops[i], times)
-        asym.append(float(np.abs(fwd.values + rev.values).max()))
+        pt = htrs_point(ops, H, params.kappa, g, times, sites, pert.site)
+        asym.append(float(np.abs(pt.forward.values + pt.reversed.values).max()))
         if g == 0.0:
-            a = two_time_correlation(liouv, rho, h_eff_op, ops[j], times)
-            b = two_time_correlation(liouv, rho, ops[j], h_eff_op, times)
+            a = two_time_correlation(pt.liouv, pt.rho, h_eff, c_j, times)
+            b = two_time_correlation(pt.liouv, pt.rho, c_j, h_eff, times)
             h_mismatch = float(np.abs(a.values - b.values).max())
     return HtrsReport(gamma_values=gammas, asymmetry=np.array(asym),
                       h_eff_mismatch=h_mismatch)
@@ -597,7 +691,7 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
     if times is None:
         times = np.linspace(0.0, 5.0 / p.kappa, 11)
     base = build_doubled_system(p)
-    tweaked = _build_detuned_absorber(p, absorber_tweak)
+    tweaked = build_doubled_system(p, absorber_mu=p.mu * (1.0 + absorber_tweak))
     obs_dev = []
     for system in (base, tweaked):
         liouv = build_liouvillian(system.hamiltonian, system.jumps,
@@ -605,41 +699,14 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
         dim = 1 << (2 * p.L)
         rho0 = np.zeros((dim, dim), dtype=complex)
         rho0[0, 0] = 1.0
-        vt = spla.expm_multiply(liouv.matrix, vec(rho0), start=times[0],
-                                stop=times[-1], num=times.size, endpoint=True)
         sys_obs = [n.matrix for n in number_operators(system.a_ops)]
         sys_obs.append((system.a_ops[0].matrix @ system.a_ops[1].matrix).tocsr())
         abs_obs = [number_operators(system.b_ops)[0].matrix]
-        rows = []
-        for v in vt:
-            r = unvec(v)
-            rows.append([np.sum((o @ r).diagonal()) for o in sys_obs + abs_obs])
-        obs_dev.append(np.array(rows))
+        obs_dev.append(_evolve_traces(liouv.matrix, vec(rho0), times, False,
+                                      sys_obs + abs_obs))
     diff = np.abs(obs_dev[0] - obs_dev[1])
     return CascadeReport(
         times=times,
         max_system_deviation=float(diff[:, :-1].max()),
         max_absorber_deviation=float(diff[:, -1].max()),
     )
-
-
-def _build_detuned_absorber(p: ModelParams, tweak: float) -> DoubledSystem:
-    pm = nearest_neighbor_pairing(p.L, p.delta, p.bc)
-    L = p.L
-    ops = build_operators(2 * L)
-    a_ops, b_ops = ops[:L], ops[L:]
-    dim = 1 << (2 * L)
-    H = sp.csr_matrix((dim, dim), dtype=complex)
-    H = _add_block_hamiltonian(H, pm.entries, p.mu, p.e_c, a_ops, +1.0)
-    H = _add_block_hamiltonian(H, pm.entries, p.mu * (1.0 + tweak), p.e_c,
-                               b_ops, -1.0)
-    for a, b in zip(a_ops, b_ops):
-        t = a.dag().matrix @ b.matrix
-        H = H + (-0.5j * p.kappa) * (t - t.conj().T)
-    jumps = [
-        FockOperator(2 * L, (a.matrix - b.matrix).tocsr(), "odd")
-        for a, b in zip(a_ops, b_ops)
-    ]
-    return DoubledSystem(L=L, ops=ops,
-                         hamiltonian=FockOperator(2 * L, H.tocsr(), "even"),
-                         jumps=jumps, kappa=p.kappa)

@@ -159,6 +159,24 @@ class TestCommands:
         assert max(baseline) < 1e-10
         assert max(pumped) > 1e-7
 
+    def test_htrs_pinned_within_tolerance(self, tmp_path):
+        # recorded with the full-space propagator; the parity-sector path
+        # agrees to round-off, within the benchmark's 1e-14 + 1e-12 |b|
+        out = tmp_path / "ht.csv"
+        assert run(["htrs", "--L", "4", "--mu", "0.25", "--delta", "0.2",
+                    "--kappa", "0.02", "--gamma-p", "0,0.002",
+                    "--t-final", "60", "--samples", "31",
+                    "--output", str(out)]) == 0
+        pinned = normalize((DATA / "htrs_L4.csv").read_text())
+        got = normalize(out.read_text())
+        header = [l for l in pinned if l.startswith("#")]
+        assert got[:len(header)] == header
+        a = np.loadtxt(got[len(header):], delimiter=",")
+        b = np.loadtxt(pinned[len(header):], delimiter=",")
+        assert a.shape == b.shape == (62, 7)
+        assert np.all(np.abs(a - b) <= 1e-14 + 1e-12 * np.abs(b))
+        assert a[a[:, 0] == 0.0, 6].max() < 1e-12
+
     def test_verify_quick(self, capsys):
         assert run(["verify", "--level", "quick"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -186,7 +204,7 @@ class TestExitCodes:
                     "--mode", "full", "--output", str(out)])
         assert code == cli.EXIT_NUMERICAL
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan", "inf"])
     def test_non_positive_tol_rejected(self, tol):
         assert run(["critical-line", "--mu", "0.2",
                     "--tol", tol]) == cli.EXIT_VALIDATION
@@ -199,6 +217,27 @@ class TestExitCodes:
     def test_tfim_bad_steps_rejected(self, tmp_path, flags):
         out = tmp_path / "tf.csv"
         assert run(["tfim", "--L", "6", *flags,
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-final", "0"], ["--t-final", "-5"], ["--t-final", "inf"],
+        ["--t-final", "nan"], ["--samples", "1"], ["--samples", "0"],
+        ["--samples", "-3"],
+    ])
+    def test_htrs_bad_time_grid_rejected_when_parsed(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["htrs", *flags])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        out = tmp_path / "ht.csv"
+        assert run(["htrs", "--L", "4", *flags,
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma_p", ["-0.1,0", "nan"])
+    def test_htrs_bad_pump_rate_rejected(self, tmp_path, gamma_p):
+        out = tmp_path / "ht.csv"
+        assert run(["htrs", "--L", "4", f"--gamma-p={gamma_p}",
                     "--output", str(out)]) == cli.EXIT_VALIDATION
         assert not out.exists()
 

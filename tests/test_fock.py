@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cqa_fermi import fock, steadystate as ss
 from cqa_fermi.core import (
@@ -59,6 +60,48 @@ class TestOperators:
     def test_mode_guard(self):
         with pytest.raises(TooManyModesError):
             fock.build_operators(17)
+
+
+def random_operator(rng, n_modes, parity):
+    """Random sparse operator with the nonzero pattern of one parity."""
+    par = np.bitwise_count(np.arange(1 << n_modes, dtype=np.uint32)) & 1
+    allowed = {"even": par[:, None] == par[None, :],
+               "odd": par[:, None] != par[None, :],
+               "mixed": np.ones((par.size, par.size), dtype=bool)}[parity]
+    keep = allowed & (rng.random(allowed.shape) < 0.3)
+    vals = rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape)
+    return fock.FockOperator(n_modes, sp.csr_matrix(np.where(keep, vals, 0)))
+
+
+class TestParityDerivation:
+    KINDS = ("even", "odd", "mixed")
+
+    def test_derived_parity_matches_classification(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            left, right = ({k: random_operator(rng, 4, k) for k in self.KINDS}
+                           for _ in range(2))
+            for k, a in left.items():
+                assert a.parity == k
+                assert (2.5 * a).parity == k
+                assert a.dag().parity == fock._classify_parity(a.dag().matrix)
+                for b in right.values():
+                    for res in (a @ b, a + b, a - b):
+                        assert res.parity == fock._classify_parity(res.matrix)
+
+    def test_products_and_like_sums_skip_classification(self, monkeypatch):
+        ops = fock.build_operators(3)
+
+        def refuse(m):
+            raise AssertionError("parity was classified")
+
+        monkeypatch.setattr(fock, "_classify_parity", refuse)
+        n0 = ops[0].dag() @ ops[0]
+        assert n0.parity == "even"
+        assert (n0 @ ops[1]).parity == "odd"
+        assert (ops[1] @ ops[2]).parity == "even"
+        assert (ops[0] + 0.5 * ops[1] - ops[2]).parity == "odd"
+        assert (n0 - ops[1].dag() @ ops[2]).parity == "even"
 
 
 class TestHamiltonian:
@@ -291,6 +334,121 @@ class TestHtrsBreaking:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             fock.PerturbationSpec(site=1, gamma_p=-0.1)
+
+
+def full_space_traces(liouv, v0, times, observables):
+    """The full-space path: exp(A t) v0 on every index, traced per point."""
+    vt = spla.expm_multiply(liouv.matrix, v0, start=0.0, stop=times[-1],
+                            num=times.size, endpoint=True)
+    return np.array([[np.sum((o @ fock.unvec(v)).diagonal())
+                      for o in observables] for v in vt])
+
+
+def full_space_steady_state(liouv):
+    """The full-space path: LU inverse iteration on every index."""
+    A = liouv.matrix
+    n, d = A.shape[0], liouv.hilbert_dim
+    lu = spla.splu((A - 1e-9 * sp.identity(n, dtype=complex,
+                                            format="csc")).tocsc())
+    x = fock.vec(np.eye(d, dtype=complex) / d)
+    for _ in range(30):
+        x = lu.solve(x)
+        x = x / np.linalg.norm(x)
+        if np.linalg.norm(A @ x) < 1e-13:
+            break
+    rho = fock.unvec(x)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho)
+
+
+def assert_close_relative(got, ref, rtol=1e-12):
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestParitySector:
+    """The sector path against the full-space path it replaces."""
+
+    times = np.linspace(0.0, 150.0, 76)
+
+    def system(self, gamma_p, extra_jump=None):
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.02)
+        ops, H = fock._single_system(p)
+        jumps, rates = list(ops), [p.kappa] * 4
+        if gamma_p > 0:
+            jumps.append(ops[0].dag())
+            rates.append(gamma_p)
+        if extra_jump is not None:
+            jumps.append(extra_jump(ops))
+            rates.append(0.01)
+        h_eff = H - (0.5j * p.kappa) * fock.total_number(4)
+        return ops, h_eff, fock.build_liouvillian(H, jumps, rates)
+
+    @pytest.mark.parametrize("gamma_p", [0.0, 0.004])
+    def test_steady_state_matches_full_lu(self, gamma_p):
+        _, _, liouv = self.system(gamma_p)
+        x0 = fock.vec(np.eye(16, dtype=complex))
+        assert fock._sector(liouv.matrix, x0, False).size == 128
+        rho = fock.steady_state(liouv)
+        assert fock.trace_distance(rho, full_space_steady_state(liouv)) < 1e-12
+
+    @pytest.mark.parametrize("gamma_p", [0.0, 0.004])
+    @pytest.mark.parametrize("pair", ["odd", "even-y", "even-x"])
+    def test_correlator_matches_full_space(self, gamma_p, pair):
+        ops, h_eff, liouv = self.system(gamma_p)
+        rho = fock.steady_state(liouv)
+        X, Y = {"odd": (ops[0], ops[1]), "even-y": (ops[1], h_eff),
+                "even-x": (h_eff, ops[1])}[pair]
+        v0 = fock.vec(Y.matrix @ rho)
+        odd = Y.parity == "odd"
+        assert fock._sector(liouv.matrix, v0, odd).size == 128
+        got = fock.two_time_correlation(liouv, rho, X, Y, self.times).values
+        ref = full_space_traces(liouv, v0, self.times, [X.matrix])[:, 0]
+        assert_close_relative(got, ref)
+
+    def test_mixed_y_uses_full_space(self):
+        ops, _, liouv = self.system(0.004)
+        rho = fock.steady_state(liouv)
+        Y = ops[1] + ops[0].dag() @ ops[0]
+        assert Y.parity == "mixed"
+        v0 = fock.vec(Y.matrix @ rho)
+        assert fock._sector(liouv.matrix, v0, None).size == 256
+        got = fock.two_time_correlation(liouv, rho, ops[0], Y,
+                                        self.times).values
+        assert_close_relative(
+            got, full_space_traces(liouv, v0, self.times, [ops[0].matrix])[:, 0])
+
+    def test_weight_outside_sector_uses_full_space(self):
+        ops, _, liouv = self.system(0.0)
+        rho = fock.steady_state(liouv).copy()
+        rho[2, 3] = rho[3, 2] = 1e-3  # coherence between parity sectors
+        v0 = fock.vec(ops[1].matrix @ rho)
+        assert fock._sector(liouv.matrix, v0, True).size == 256
+        got = fock.two_time_correlation(liouv, rho, ops[0], ops[1],
+                                        self.times).values
+        assert_close_relative(
+            got, full_space_traces(liouv, v0, self.times, [ops[0].matrix])[:, 0])
+
+    def test_coupling_generator_uses_full_space(self):
+        # a mixed-parity jump couples the two parity-difference sectors
+        _, _, liouv = self.system(
+            0.0, extra_jump=lambda ops: ops[0] + ops[1].dag() @ ops[1])
+        x0 = fock.vec(np.eye(16, dtype=complex))
+        assert fock._sector(liouv.matrix, x0, False).size == 256
+        rho = fock.steady_state(liouv)
+        assert fock.trace_distance(rho, full_space_steady_state(liouv)) < 1e-12
+
+    def test_cascade_evolution_matches_full_space(self):
+        system = fock.build_doubled_system(
+            ModelParams(L=2, bc=PBC, mu=0.25, delta=0.12, e_c=1.0, kappa=0.1),
+            absorber_mu=0.3)
+        liouv = fock.build_liouvillian(system.hamiltonian, system.jumps, 0.1)
+        v0 = np.zeros(256, dtype=complex)
+        v0[0] = 1.0
+        obs = [n.matrix for n in fock.number_operators(system.ops)]
+        times = np.linspace(0.0, 50.0, 11)
+        got = fock._evolve_traces(liouv.matrix, v0, times, False, obs)
+        assert fock._sector(liouv.matrix, v0, False).size == 128
+        assert_close_relative(got, full_space_traces(liouv, v0, times, obs))
 
 
 @pytest.mark.slow
