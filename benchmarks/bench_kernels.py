@@ -9,6 +9,8 @@ Run twice to compare the backends of the tables and reductions:
 Covers the three hot paths: the cumulative coefficient table at L = 1e5,
 the log-sum-exp reductions over its weights, and the RK4 moment integrator,
 which is numpy-only and runs a fermion and a spin trajectory in one call.
+A thermo section times the critical line in weak and full mode, seven mus
+one call at a time against one lockstep call over all seven.
 """
 
 import math
@@ -16,7 +18,7 @@ import time
 
 import numpy as np
 
-from cqa_fermi import kernels
+from cqa_fermi import kernels, thermo
 from cqa_fermi.combinatorics import log_counts
 
 
@@ -70,6 +72,21 @@ def main():
                                    n_steps, 125)
 
     timeit(f"rk4_moments        (2x{n_pairs} pairs, {n_steps} steps)", rk4)
+
+    mus = np.linspace(0.1, 0.4, 7)
+    for mode, kappa in ((thermo.WEAK, 0.0), (thermo.FULL, 1e-3)):
+        def one_by_one():
+            return [thermo.critical_delta(m, kappa=kappa, mode=mode)
+                    for m in mus]
+
+        def lockstep():
+            return thermo.critical_delta(mus, kappa=kappa, mode=mode)
+
+        timeit(f"critical_delta {mode:<4s} (7 mus, one per call)",
+               one_by_one, repeat=3)
+        timeit(f"critical_delta {mode:<4s} (7 mus, one call)", lockstep,
+               repeat=3)
+
 
 if __name__ == "__main__":
     main()

@@ -213,11 +213,8 @@ def _cmd_free_energy(args) -> int:
 
 def _cmd_critical_line(args) -> int:
     mus = parse_grid(args.mu)
-    rows = []
-    for mu in mus:
-        dc = thermo.critical_delta(mu, kappa=args.kappa, mode=args.mode,
-                                   tol=args.tol)
-        rows.append((mu, dc))
+    rows = list(zip(mus, thermo.critical_delta(
+        mus, kappa=args.kappa, mode=args.mode, tol=args.tol)))
     cfg = RunConfig(
         command="critical-line",
         flags={"mu": args.mu, "kappa": args.kappa, "mode": args.mode,
@@ -358,6 +355,13 @@ def _positive_finite_float(text: str) -> float:
     return val
 
 
+def _non_negative_finite_float(text: str) -> float:
+    val = float(text)
+    if not 0.0 <= val < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
+    return val
+
+
 def _sample_count(text: str) -> int:
     val = int(text)
     if val < 2:
@@ -398,14 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     fe = sub.add_parser("free-energy", help="effective free energy profile")
     fe.add_argument("--mu", type=float, required=True)
     fe.add_argument("--delta", type=float, required=True)
-    fe.add_argument("--kappa", type=float, default=0.0)
+    fe.add_argument("--kappa", type=_non_negative_finite_float, default=0.0)
     fe.add_argument("--mode", choices=("weak", "full"), default="weak")
     fe.add_argument("--grid-size", dest="grid_size", type=int, default=4096)
     common(fe)
 
     cl = sub.add_parser("critical-line", help="first-order boundary points")
     cl.add_argument("--mu", required=True, help="grid over mu in (0, 1/2)")
-    cl.add_argument("--kappa", type=float, default=0.0)
+    cl.add_argument("--kappa", type=_non_negative_finite_float, default=0.0,
+                    help=">= 0 and finite")
     cl.add_argument("--mode", choices=("weak", "full"), default=None,
                     help="default: weak for kappa<=1e-6, else full")
     cl.add_argument("--tol", type=_positive_finite_float, default=1e-6,

@@ -28,30 +28,54 @@ WEAK = "weak"
 # far above the ~60 halvings that take a bracket of width < 1 to float
 # resolution, where the loop stops on its own
 MAX_BISECTIONS = 200
+# far above the ~140 golden steps that take a bracket of width < 1 inside
+# (1e-13, 1) to float resolution, where the loop stops on its own
+MAX_GOLDEN_STEPS = 300
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the delta bracket the critical-line bisection starts from
+_DELTA_SCAN = (1e-4, 0.45)
 
 
-def free_energy(rho, mu: float, kappa: float, delta: float,
-                mode: str = WEAK):
+def free_energy(rho, mu, kappa, delta, mode: str = WEAK):
     """Effective free energy Q(rho) on 0 < rho < 1 (charging energy = 1).
 
-    Accepts a scalar or an array of rho values.
+    ``rho`` is a scalar or an array; ``mu``, ``kappa`` and ``delta`` are
+    scalars or arrays that broadcast against it, so one call evaluates Q
+    for many parameter sets.  All scalars give a float.  Each element goes
+    through the same IEEE operations whatever the shapes, so a batched
+    value has the bits of the one-point call.  Non-finite parameters are
+    rejected.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr <= 0.0) or np.any(rho_arr >= 1.0):
         raise DomainError("rho must lie strictly inside (0, 1)")
-    if delta <= 0.0:
+    _require_finite(mu=mu, kappa=kappa, delta=delta)
+    mu, kappa, delta = (np.asarray(v, dtype=float) for v in (mu, kappa, delta))
+    if np.any(delta <= 0.0):
         raise DomainError("free energy requires delta > 0")
     if mode == WEAK:
         q = _free_energy_weak(rho_arr, mu, delta)
     elif mode == FULL:
-        if kappa <= 0.0:
+        if np.any(kappa <= 0.0):
             raise DomainError("full mode requires kappa > 0")
         q = _free_energy_full(rho_arr, mu, kappa, delta)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(q) if np.isscalar(rho) else q
+    return float(q) if np.isscalar(rho) and np.ndim(q) == 0 else q
+
+
+def _require_finite(**params):
+    for name, val in params.items():
+        if not np.all(np.isfinite(val)):
+            raise DomainError(f"{name} must be finite, got {val}")
+
+
+def _log(x):
+    # libm's log per element, as one-point calls have always taken it:
+    # numpy's vector log differs from it in the last bit on some inputs
+    return np.fromiter(map(math.log, x.ravel()), float, x.size).reshape(
+        x.shape)
 
 
 def _entropy_terms(rho):
@@ -64,16 +88,17 @@ def _entropy_terms(rho):
 
 
 def _free_energy_weak(rho, mu, delta):
-    drive = -(1.0 + math.log(delta)) * rho
+    drive = -(1.0 + _log(delta)) * rho
     pot = -2.0 * xlogy(mu - 0.5 * rho, np.abs(mu - 0.5 * rho)) \
-        + 2.0 * xlogy(mu, abs(mu))
+        + 2.0 * xlogy(mu, np.abs(mu))
     return drive + pot + _entropy_terms(rho)
 
 
 def _free_energy_full(rho, mu, kappa, delta):
     mu_abs2 = mu * mu + 0.25 * kappa * kappa
-    drive = -(1.0 + math.log(delta)) * rho
-    pot = -xlogy(mu - 0.5 * rho, (mu - 0.5 * rho) ** 2 + 0.25 * kappa * kappa) \
+    drive = -(1.0 + _log(delta)) * rho
+    shift = mu - 0.5 * rho
+    pot = -xlogy(shift, shift * shift + 0.25 * kappa * kappa) \
         + xlogy(mu, mu_abs2)
     arc = kappa * np.arctan2(0.5 * rho * kappa, 2.0 * mu_abs2 - mu * rho)
     return drive + pot + arc + _entropy_terms(rho)
@@ -104,88 +129,139 @@ class FreeEnergyProfile:
         return self.rho_low is not None and self.rho_high is not None
 
 
-def _golden_minimize(f, a: float, b: float, xtol: float = 1e-11) -> float:
+def _golden_minimize(f, a, b, xtol: float = 1e-11) -> np.ndarray:
+    """Golden-section minimizers on the brackets [a[i], b[i]], in lockstep.
+
+    ``f(x, idx)`` returns the objective of bracket ``idx[j]`` at ``x[j]``.
+    Each bracket takes the steps, and so the bits, of a one-bracket search.
+    A bracket stops once narrower than ``xtol`` or at float resolution;
+    IterationLimitError if MAX_GOLDEN_STEPS steps do not finish them all.
+    """
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+    every = np.arange(a.size)
+    f12 = f(np.concatenate([x1, x2]), np.concatenate([every, every]))
+    f1, f2 = f12[:a.size], f12[a.size:]
+    for _ in range(MAX_GOLDEN_STEPS):
+        mid = 0.5 * (a + b)
+        live = np.nonzero((b - a > xtol) & (mid != a) & (mid != b))[0]
+        if live.size == 0:
+            return mid
+        left = f1[live] < f2[live]
+        lt, rt = live[left], live[~left]
+        b[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        x1[lt] = b[lt] - _INV_GOLDEN * (b[lt] - a[lt])
+        a[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x2[rt] = a[rt] + _INV_GOLDEN * (b[rt] - a[rt])
+        f_new = f(np.where(left, x1[live], x2[live]), live)
+        f1[lt], f2[rt] = f_new[left], f_new[~left]
+    raise IterationLimitError(
+        f"golden section: {live.size} brackets still wider than "
+        f"xtol={xtol!r} after {MAX_GOLDEN_STEPS} steps"
+    )
 
 
-def profile(mu: float, kappa: float, delta: float, mode: str = WEAK,
-            grid_size: int = 4096) -> FreeEnergyProfile:
+def profile(mu, kappa, delta, mode=WEAK, grid_size: int = 4096):
     """Scan Q on a grid, then refine every local well by golden section.
 
     Wells separated by a barrier smaller than 1e-12 are treated as one.
+    With scalars (and one mode) this returns one profile.  Given
+    sequences of equal length for any of ``mu``, ``kappa``, ``delta`` and
+    ``mode`` (the scalars repeat), it returns a tuple with one profile per
+    entry, each the one a scalar call gives: the grids of a mode are
+    evaluated in one call and all their wells refined in one lockstep
+    golden section.
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be >= 1e3")
-    if delta == 0.0:
-        # no drive: the state is the vacuum, formally Q = +inf off rho = 0
-        rho = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-        q = np.full_like(rho, np.inf)
-        return FreeEnergyProfile(mu, kappa, delta, mode, rho, q,
-                                 rho_min=0.0, rho_low=None, rho_high=None,
-                                 delta_q_min=None)
+    single = all(np.ndim(v) == 0 for v in (mu, kappa, delta, mode))
+    mus, kappas, deltas, modes = np.broadcast_arrays(
+        *(np.atleast_1d(v) for v in (mu, kappa, delta, mode)))
+    _require_finite(mu=mus, kappa=kappas, delta=deltas)
+    mus, kappas, deltas = (a.astype(float) for a in (mus, kappas, deltas))
     rho = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    q = free_energy(rho, mu, kappa, delta, mode)
+    out = [None] * mus.size
+    for m in dict.fromkeys(modes[deltas != 0.0].tolist()):
+        idx = np.nonzero((modes == m) & (deltas != 0.0))[0]
+        for i, prof in zip(idx, _profiles(rho, mus[idx], kappas[idx],
+                                          deltas[idx], m)):
+            out[i] = prof
+    for i in np.nonzero(deltas == 0.0)[0]:
+        # no drive: the state is the vacuum, formally Q = +inf off rho = 0
+        out[i] = FreeEnergyProfile(
+            float(mus[i]), float(kappas[i]), float(deltas[i]), str(modes[i]),
+            rho, np.full_like(rho, np.inf), rho_min=0.0, rho_low=None,
+            rho_high=None, delta_q_min=None)
+    return out[0] if single else tuple(out)
 
-    def f(x):
-        return free_energy(float(x), mu, kappa, delta, mode)
 
+def _profiles(rho, mu, kappa, delta, mode):
+    """Profiles of one mode for the parameter arrays (delta > 0)."""
+    q = free_energy(rho, mu[:, None], kappa[:, None], delta[:, None], mode)
+    # brackets [a, b] around every grid minimum, owned by row ``own``
     lo_edge = 1e-13
     hi_edge = 1.0 - 1e-13
-    minima = []
-    interior = np.nonzero((q[1:-1] < q[:-2]) & (q[1:-1] <= q[2:]))[0] + 1
-    for i in interior:
-        minima.append(_golden_minimize(f, rho[i - 1], rho[i + 1]))
-    if q[0] < q[1]:  # well below the first grid point
-        minima.append(_golden_minimize(f, lo_edge, rho[1]))
-    if q[-1] < q[-2]:
-        minima.append(_golden_minimize(f, rho[-2], hi_edge))
-    if not minima:  # pragma: no cover - the entropy terms force a minimum
-        minima.append(float(rho[np.argmin(q)]))
-    minima = sorted(minima)
-    merged = _merge_wells(f, minima)
-    values = [f(x) for x in merged]
-    rho_min = merged[int(np.argmin(values))]
-    rho_low = rho_high = None
+    own, col = np.nonzero((q[:, 1:-1] < q[:, :-2]) & (q[:, 1:-1] <= q[:, 2:]))
+    a, b = [rho[col]], [rho[col + 2]]
+    low = np.nonzero(q[:, 0] < q[:, 1])[0]  # well below the first grid point
+    high = np.nonzero(q[:, -1] < q[:, -2])[0]
+    own = np.concatenate([own, low, high])
+    a += [np.full(low.size, lo_edge), np.full(high.size, rho[-2])]
+    b += [np.full(low.size, rho[1]), np.full(high.size, hi_edge)]
+
+    def q_at(x, idx):
+        j = own[idx]
+        return free_energy(x, mu[j], kappa[j], delta[j], mode)
+
+    x = _golden_minimize(q_at, np.concatenate(a), np.concatenate(b))
+    values = q_at(x, np.arange(x.size))
+    profiles = []
+    for j in range(mu.size):
+        mine = own == j
+        wells = sorted(zip(x[mine].tolist(), values[mine].tolist()))
+        if not wells:  # pragma: no cover - the entropy terms force a minimum
+            k = int(np.argmin(q[j]))
+            wells = [(float(rho[k]), float(q[j, k]))]
+        profiles.append(_wells_profile(
+            rho, q[j], mu[j], kappa[j], delta[j], mode,
+            _merge_wells(lambda g: free_energy(g, mu[j], kappa[j], delta[j],
+                                               mode), wells)))
+    return profiles
+
+
+def _wells_profile(rho, q, mu, kappa, delta, mode, wells):
+    """The profile whose merged wells are the (rho, Q) pairs ``wells``."""
+    values = [v for _, v in wells]
+    rho_min = wells[int(np.argmin(values))][0]
     split = 2.0 * mu
-    lows = [(x, v) for x, v in zip(merged, values) if x <= split]
-    highs = [(x, v) for x, v in zip(merged, values) if x >= split]
-    if lows:
-        rho_low = min(lows, key=lambda t: t[1])[0]
-    if highs:
-        rho_high = min(highs, key=lambda t: t[1])[0]
-    dq = None
-    if rho_low is not None and rho_high is not None:
-        dq = f(rho_high) - f(rho_low)
-    return FreeEnergyProfile(mu, kappa, delta, mode, rho, q,
-                             rho_min=float(rho_min), rho_low=rho_low,
-                             rho_high=rho_high, delta_q_min=dq)
+    lows = [w for w in wells if w[0] <= split]
+    highs = [w for w in wells if w[0] >= split]
+    low = min(lows, key=lambda t: t[1]) if lows else None
+    high = min(highs, key=lambda t: t[1]) if highs else None
+    dq = high[1] - low[1] if low and high else None
+    return FreeEnergyProfile(float(mu), float(kappa), float(delta), mode, rho,
+                             q, rho_min=rho_min,
+                             rho_low=low[0] if low else None,
+                             rho_high=high[0] if high else None,
+                             delta_q_min=dq)
 
 
-def _merge_wells(f, minima, barrier_tol: float = 1e-12):
-    """Drop wells not separated from a deeper neighbor by a real barrier."""
-    if len(minima) <= 1:
-        return minima
-    kept = [minima[0]]
-    for x in minima[1:]:
-        prev = kept[-1]
-        grid = np.linspace(prev, x, 64)[1:-1]
-        barrier = max(f(g) for g in grid) if grid.size else -np.inf
-        if barrier - max(f(prev), f(x)) > barrier_tol:
-            kept.append(x)
-        elif f(x) < f(prev):
-            kept[-1] = x
+def _merge_wells(q, wells, barrier_tol: float = 1e-12):
+    """Drop wells not separated from a deeper neighbor by a real barrier.
+
+    ``wells`` are (rho, Q) pairs in increasing rho; ``q`` evaluates Q on an
+    array of rho, here the 62 interior points between two wells.
+    """
+    kept = wells[:1]
+    for x, v in wells[1:]:
+        prev, v_prev = kept[-1]
+        barrier = q(np.linspace(prev, x, 64)[1:-1]).max()
+        if barrier - max(v_prev, v) > barrier_tol:
+            kept.append((x, v))
+        elif v < v_prev:
+            kept[-1] = (x, v)
     return kept
 
 
@@ -194,16 +270,15 @@ def density_thermo(prof: FreeEnergyProfile) -> float:
     return 0.5 * prof.rho_min
 
 
-def _well_sign(mu, kappa, delta, mode, grid_size):
-    """+1 while the low well dominates, -1 once the high well does."""
-    prof = profile(mu, kappa, delta, mode, grid_size)
+def _low_dominates(prof: FreeEnergyProfile) -> bool:
+    """True while the low well is the deeper one (False once the high is)."""
     if prof.two_wells:
-        return math.copysign(1.0, prof.delta_q_min), prof
-    return (1.0 if prof.rho_min < 2.0 * mu else -1.0), prof
+        return math.copysign(1.0, prof.delta_q_min) > 0
+    return prof.rho_min < 2.0 * prof.mu
 
 
-def critical_delta(mu: float, kappa: float = 0.0, mode: str = WEAK,
-                   tol: float = 1e-6, grid_size: int = 4096) -> float:
+def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
+                   tol: float = 1e-6, grid_size: int = 4096):
     """First-order transition point delta_crit(mu) by bisection.
 
     Bisects on the sign of the well-depth difference until the bracket is
@@ -212,37 +287,65 @@ def critical_delta(mu: float, kappa: float = 0.0, mode: str = WEAK,
     two-well exchange (large kappa pushes the terminal point below the
     requested mu); IterationLimitError if MAX_BISECTIONS halvings do not
     finish.
+
+    A scalar ``mu`` gives a float.  A sequence gives a tuple with one
+    delta_crit per entry, each the value of a scalar call: the bisections
+    run in lockstep, one batched :func:`profile` per halving over the
+    entries still bisecting.  If entries fail, the error of the first of
+    them in ``mu`` order is raised once all are done.
     """
-    if not 0.0 < mu < 0.5:
-        raise DomainError("critical line is defined for 0 < mu < 1/2")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    lo, hi = 1e-4, 0.45
-    s_lo, _ = _well_sign(mu, kappa, lo, mode, grid_size)
-    s_hi, _ = _well_sign(mu, kappa, hi, mode, grid_size)
-    if s_lo < 0 or s_hi > 0:
-        raise NoBistableWindowError("no low-to-high crossing in delta scan")
-    two_well_seen = False
+    single = np.ndim(mu) == 0
+    mus = np.atleast_1d(np.asarray(mu, dtype=float))
+    errors = {}
+    for i, m in enumerate(mus):
+        if not 0.0 < m < 0.5:
+            errors[i] = DomainError("critical line is defined for 0 < mu < 1/2")
+        elif not tol > 0.0:
+            errors[i] = DomainError(f"tol must be > 0, got {tol}")
+    live = [i for i in range(mus.size) if i not in errors]
+    lo, hi = ([d] * mus.size for d in _DELTA_SCAN)
+    try:
+        ends = profile(np.tile(mus[live], 2), kappa,
+                       np.repeat(_DELTA_SCAN, len(live)), mode,
+                       grid_size) if live else ()
+    except (DomainError, ValueError) as exc:  # kappa, mode or grid_size
+        errors.update(dict.fromkeys(live, exc))
+        ends = ()
+    for i, at_lo, at_hi in zip(live, ends, ends[len(live):]):
+        if not _low_dominates(at_lo) or _low_dominates(at_hi):
+            errors[i] = NoBistableWindowError(
+                "no low-to-high crossing in delta scan")
+    live = [i for i in live if i not in errors]
+    two_well_seen = dict.fromkeys(live, False)
+    mid = {}
     for _ in range(MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid in (lo, hi):
+        for i in live:
+            mid[i] = 0.5 * (lo[i] + hi[i])
+        live = [i for i in live
+                if not (hi[i] - lo[i] <= tol or mid[i] in (lo[i], hi[i]))]
+        if not live:
             break
-        s, prof = _well_sign(mu, kappa, mid, mode, grid_size)
-        two_well_seen = two_well_seen or prof.two_wells
-        if s > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise IterationLimitError(
-            f"critical_delta: bracket [{lo!r}, {hi!r}] still wider than "
+        profs = profile(mus[live], kappa, [mid[i] for i in live], mode,
+                        grid_size)
+        for i, prof in zip(live, profs):
+            two_well_seen[i] = two_well_seen[i] or prof.two_wells
+            if _low_dominates(prof):
+                lo[i] = mid[i]
+            else:
+                hi[i] = mid[i]
+    for i in live:
+        errors[i] = IterationLimitError(
+            f"critical_delta: bracket [{lo[i]!r}, {hi[i]!r}] still wider than "
             f"tol={tol!r} after {MAX_BISECTIONS} halvings"
         )
-    if not two_well_seen:
-        raise NoBistableWindowError(
-            f"crossing at delta~{mid:.4g} is a single-well crossover"
-        )
-    return mid
+    for i, seen in two_well_seen.items():
+        if not seen and i not in errors:
+            errors[i] = NoBistableWindowError(
+                f"crossing at delta~{mid[i]:.4g} is a single-well crossover"
+            )
+    if errors:
+        raise errors[min(errors)]
+    return mid[0] if single else tuple(mid[i] for i in range(mus.size))
 
 
 def beta_asymptotic(rho: float, mu: float, kappa: float, delta: float,

@@ -119,6 +119,16 @@ class TestCommands:
         assert float(cfg.summary["delta_crit"]) == pytest.approx(0.02122,
                                                                  abs=2e-4)
 
+    @pytest.mark.parametrize("name,flags", [
+        ("weak", []), ("kappa1e-3", ["--kappa", "1e-3"])])
+    def test_critical_line_bytes_pinned(self, tmp_path, name, flags):
+        # recorded with the one-mu-at-a-time bisection the lockstep replaced
+        out = tmp_path / "cl.csv"
+        assert run(["critical-line", "--mu", "0.1:0.4:7", *flags,
+                    "--output", str(out)]) == 0
+        pinned = (DATA / f"critical_line_{name}.csv").read_text()
+        assert normalize(out.read_text()) == normalize(pinned)
+
     def test_json_round_trip(self, tmp_path):
         out = tmp_path / "mf.json"
         assert run(["mean-field", "--mu", "0.1:0.3:3", "--delta", "0.05",
@@ -208,6 +218,39 @@ class TestExitCodes:
     def test_non_positive_tol_rejected(self, tol):
         assert run(["critical-line", "--mu", "0.2",
                     "--tol", tol]) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "nan"], ["--delta", "inf"], ["--mu", "nan"],
+        ["--mu", "inf"], ["--kappa", "nan", "--mode", "full"],
+        ["--kappa", "inf", "--mode", "full"],
+        ["--kappa", "-0.001", "--mode", "full"]])
+    def test_free_energy_non_finite_rejected(self, tmp_path, flags):
+        args = {"--mu": "0.2", "--delta": "0.021"}
+        args.update(zip(flags[::2], flags[1::2]))
+        out = tmp_path / "fe.csv"
+        assert run(["free-energy", *(f"{k}={v}" for k, v in args.items()),
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["critical-line", "free-energy"])
+    @pytest.mark.parametrize("kappa", ["-0.001", "nan", "inf", "-inf"])
+    def test_bad_kappa_rejected_when_parsed(self, tmp_path, command, kappa):
+        argv = [command, "--mu", "0.2", f"--kappa={kappa}"]
+        if command == "free-energy":
+            argv += ["--delta", "0.021"]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == cli.EXIT_VALIDATION
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_zero_kappa_accepted(self, tmp_path):
+        out = tmp_path / "fe.csv"
+        assert run(["free-energy", "--mu", "0.2", "--delta", "0",
+                    "--kappa", "0", "--grid-size", "1024",
+                    "--output", str(out)]) == 0
+        assert float(cli.read_header(str(out)).summary["density"]) == 0.0
 
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-0.001"], ["--t-final", "0"],

@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from cqa_fermi import steadystate as ss, thermo
 from cqa_fermi.core import PBC, ModelParams
-from cqa_fermi.errors import DomainError, NoBistableWindowError
+from cqa_fermi.errors import (
+    DomainError,
+    IterationLimitError,
+    NoBistableWindowError,
+)
 
 
 class TestFreeEnergy:
@@ -49,6 +56,77 @@ class TestFreeEnergy:
         assert abs(q[2] - q[0]) < 1e-7
 
 
+    @pytest.mark.parametrize("mode,kappa", [("weak", 0.0), ("full", 1e-3)])
+    def test_batched_parameters_match_one_point_calls(self, mode, kappa):
+        rho = np.linspace(0.003, 0.997, 41)
+        mu = np.array([-0.3, 0.1, 0.2, 0.37])[:, None]
+        delta = np.array([0.005, 0.021, 0.09, 0.3])[:, None]
+        q = thermo.free_energy(rho, mu, kappa, delta, mode)
+        assert q.shape == (4, 41)
+        for j in range(4):
+            one = [thermo.free_energy(float(r), float(mu[j, 0]), kappa,
+                                      float(delta[j, 0]), mode) for r in rho]
+            assert q[j].tolist() == one
+            assert np.array_equal(
+                q[j], thermo.free_energy(rho, mu[j, 0], kappa, delta[j, 0],
+                                         mode))
+
+    def test_batched_delta_takes_libm_log(self):
+        # numpy's vector log misses libm's last bit on some inputs; the
+        # reference is Q written out with math.log, in the module's order
+        sweep = np.linspace(1e-4, 0.45, 20001)
+        odd = [d for d, v in zip(sweep, np.log(sweep)) if v != math.log(d)]
+        deltas = np.array(odd + [0.021])
+        rho, mu = 0.3, 0.2
+        rest = -2.0 * xlogy(mu - 0.5 * rho, abs(mu - 0.5 * rho)) \
+            + 2.0 * xlogy(mu, abs(mu))
+        entropy = (-xlogy(1.0 - 0.5 * rho, 1.0 - 0.5 * rho)
+                   + xlogy(1.0 - rho, 1.0 - rho)
+                   + xlogy(0.5 * rho, 0.5 * rho))
+        want = [-(1.0 + math.log(d)) * rho + rest + entropy for d in deltas]
+        assert thermo.free_energy(rho, mu, 0.0, deltas).tolist() == want
+
+    @pytest.mark.parametrize("mu,kappa,delta,mode", [
+        (np.nan, 0.0, 0.02, "weak"), (np.inf, 0.0, 0.02, "weak"),
+        (0.2, 0.0, np.nan, "weak"), (0.2, 0.0, np.inf, "weak"),
+        (0.2, np.nan, 0.02, "full"), (0.2, np.inf, 0.02, "full"),
+        (0.2, np.nan, 0.02, "weak"),
+        (0.2, 0.0, np.array([0.02, np.nan]), "weak"),
+    ])
+    def test_non_finite_parameters_rejected(self, mu, kappa, delta, mode):
+        with pytest.raises(DomainError):
+            thermo.free_energy(0.3, mu, kappa, delta, mode)
+        with pytest.raises(DomainError):
+            thermo.profile(mu, kappa, delta, mode)
+
+
+class TestGoldenSection:
+    @staticmethod
+    def parabola(x, idx):
+        return (x - 0.3 - 0.1 * idx) ** 2
+
+    def test_brackets_match_one_at_a_time(self):
+        a = np.array([0.0, 0.1, 0.25, 0.0])
+        b = np.array([1.0, 0.6, 0.7, 0.45])
+        x = thermo._golden_minimize(self.parabola, a, b)
+        for i in range(a.size):
+            one = thermo._golden_minimize(
+                lambda t, _: self.parabola(t, i), a[i:i + 1], b[i:i + 1])
+            assert x[i] == one[0]
+        assert np.abs(x - np.array([0.3, 0.4, 0.5, 0.45])).max() < 1e-10
+
+    def test_zero_xtol_stops_at_float_resolution(self):
+        x = thermo._golden_minimize(self.parabola, [0.0, 1e-13],
+                                    [1.0, 2e-13], xtol=0.0)
+        assert abs(x[0] - 0.3) < 1e-7
+        assert x[1] == 2e-13 or np.nextafter(x[1], 1.0) == 2e-13
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(thermo, "MAX_GOLDEN_STEPS", 5)
+        with pytest.raises(IterationLimitError):
+            thermo._golden_minimize(self.parabola, [0.0], [1.0])
+
+
 class TestProfile:
     def test_low_phase(self):
         prof = thermo.profile(0.2, 0.0, 0.02, "weak")
@@ -74,6 +152,31 @@ class TestProfile:
     def test_grid_size_guard(self):
         with pytest.raises(ValueError):
             thermo.profile(0.2, 0.0, 0.02, "weak", grid_size=100)
+
+    def test_batch_matches_single_calls(self):
+        # mixed mu, delta and mode; a vacuum entry and single-well entries
+        mu = [0.2, -0.3, 0.2, 0.25, 0.4, 0.2]
+        kappa = [0.0, 0.0, 1e-3, 1e-3, 0.0, 0.05]
+        delta = [0.0212, 0.1, 0.021, 0.0, 0.09, 0.3]
+        mode = ["weak", "weak", "full", "full", "weak", "full"]
+        batch = thermo.profile(mu, kappa, delta, mode, grid_size=2048)
+        assert isinstance(batch, tuple) and len(batch) == len(mu)
+        singles = [thermo.profile(*args, grid_size=2048)
+                   for args in zip(mu, kappa, delta, mode)]
+        assert [p.two_wells for p in singles] == [True, False, True, False,
+                                                  True, False]
+        for got, want in zip(batch, singles):
+            for name in ("mu", "kappa", "delta", "mode", "rho_min",
+                         "rho_low", "rho_high", "delta_q_min"):
+                assert getattr(got, name) == getattr(want, name), name
+            assert np.array_equal(got.rho, want.rho)
+            assert np.array_equal(got.q, want.q)
+
+    def test_scalars_repeat_across_a_sequence(self):
+        deltas = [0.02, 0.0224]
+        batch = thermo.profile(0.2, 0.0, deltas, "weak")
+        for got, delta in zip(batch, deltas):
+            assert got.rho_min == thermo.profile(0.2, 0.0, delta).rho_min
 
     def test_zero_pairing_gives_empty_chain(self):
         prof = thermo.profile(0.2, 0.0, 0.0, "weak")
@@ -106,6 +209,37 @@ class TestCriticalDelta:
     def test_non_positive_tol_rejected(self, tol):
         with pytest.raises(DomainError):
             thermo.critical_delta(0.2, tol=tol)
+
+
+    @pytest.mark.parametrize("kappa,mode", [(0.0, "weak"), (1e-3, "full")])
+    def test_sequence_matches_scalar_calls(self, kappa, mode):
+        mus = np.linspace(0.1, 0.4, 4)
+        got = thermo.critical_delta(mus, kappa=kappa, mode=mode)
+        assert isinstance(got, tuple)
+        want = tuple(thermo.critical_delta(m, kappa=kappa, mode=mode)
+                     for m in mus)
+        assert got == want
+        assert all(type(v) is float for v in got)
+
+    def test_sequence_raises_first_failure_in_mu_order(self):
+        # 0.05 is a single-well crossover, found only after the bisection;
+        # 0.49 fails the endpoint check before it, and must not win
+        with pytest.raises(NoBistableWindowError, match="single-well"):
+            thermo.critical_delta([0.3, 0.05, 0.49], kappa=0.05, mode="full")
+        with pytest.raises(NoBistableWindowError, match="no low-to-high"):
+            thermo.critical_delta([0.3, 0.49, 0.05], kappa=0.05, mode="full")
+        with pytest.raises(DomainError, match="0 < mu < 1/2"):
+            thermo.critical_delta([0.2, 0.7, 0.05], kappa=0.05, mode="full")
+        # a setting every entry shares fails each valid entry, in order
+        with pytest.raises(DomainError, match="0 < mu < 1/2"):
+            thermo.critical_delta([0.7, 0.2], kappa=0.0, mode="full")
+        with pytest.raises(DomainError, match="kappa > 0"):
+            thermo.critical_delta([0.2, 0.7], kappa=0.0, mode="full")
+
+    def test_sequence_bisection_cap(self, monkeypatch):
+        monkeypatch.setattr(thermo, "MAX_BISECTIONS", 3)
+        with pytest.raises(IterationLimitError, match="after 3 halvings"):
+            thermo.critical_delta([0.2, 0.3])
 
 
 class TestDensityThermo:
