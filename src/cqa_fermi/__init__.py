@@ -26,8 +26,14 @@ from .core import (  # noqa: F401
     nearest_neighbor_pairing,
     validate_params,
 )
-from .steadystate import (  # noqa: F401
-    CoefficientTable,
-    build_coefficients,
-    mean_density,
-)
+
+# served on first use, so that importing the package loads no scipy module
+_STEADYSTATE_NAMES = ("CoefficientTable", "build_coefficients", "mean_density")
+
+
+def __getattr__(name):
+    if name in _STEADYSTATE_NAMES:
+        from . import steadystate
+
+        return getattr(steadystate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

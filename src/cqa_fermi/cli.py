@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, fock, meanfield, pseudospin, steadystate, thermo
+from . import __version__
 from .core import ModelParams, validate_params
 from .errors import (
     CqaFermiError,
@@ -172,6 +172,8 @@ def read_header(path: str) -> RunConfig:
 
 
 def _cmd_phase_diagram(args) -> int:
+    from . import steadystate
+
     rows = steadystate.grid_observables(
         args.L, args.bc, parse_grid(args.mu), parse_grid(args.delta),
         args.e_c, args.kappa)
@@ -190,6 +192,8 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_free_energy(args) -> int:
+    from . import thermo
+
     prof = thermo.profile(args.mu, args.kappa, args.delta, args.mode,
                           args.grid_size)
     cfg = RunConfig(
@@ -212,6 +216,8 @@ def _cmd_free_energy(args) -> int:
 
 
 def _cmd_critical_line(args) -> int:
+    from . import thermo
+
     mus = parse_grid(args.mu)
     rows = list(zip(mus, thermo.critical_delta(
         mus, kappa=args.kappa, mode=args.mode, tol=args.tol)))
@@ -229,6 +235,8 @@ def _cmd_critical_line(args) -> int:
 
 
 def _cmd_mean_field(args) -> int:
+    from . import meanfield
+
     mus = parse_grid(args.mu)
     rows = []
     for mu in mus:
@@ -250,6 +258,8 @@ def _cmd_mean_field(args) -> int:
 
 
 def _cmd_tfim(args) -> int:
+    from . import pseudospin
+
     p = validate_params(ModelParams(L=args.L, bc="pbc", mu=args.mu,
                                     delta=args.delta, e_c=args.e_c,
                                     kappa=args.kappa))
@@ -274,6 +284,8 @@ def _cmd_tfim(args) -> int:
 
 
 def _cmd_htrs(args) -> int:
+    from . import fock
+
     p = validate_params(ModelParams(L=args.L, bc="pbc", mu=args.mu,
                                     delta=args.delta, e_c=args.e_c,
                                     kappa=args.kappa))
@@ -302,6 +314,8 @@ def _cmd_htrs(args) -> int:
 def _cmd_verify(args) -> int:
     """Small-system oracle cross-checks; one pass/fail line per check."""
     import warnings
+
+    from . import fock, steadystate
 
     checks = []
     grid = [(2, "pbc"), (3, "obc"), (4, "pbc"), (4, "obc")]
@@ -362,6 +376,13 @@ def _non_negative_finite_float(text: str) -> float:
     return val
 
 
+def _finite_float(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return val
+
+
 def _sample_count(text: str) -> int:
     val = int(text)
     if val < 2:
@@ -419,9 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     mfp = sub.add_parser("mean-field", help="self-consistent density roots")
     mfp.add_argument("--mu", required=True, help="grid over mu")
-    mfp.add_argument("--delta", type=float, required=True)
-    mfp.add_argument("--e-c", dest="e_c", type=float, default=1.0)
-    mfp.add_argument("--kappa", type=float, default=0.01)
+    mfp.add_argument("--delta", type=_non_negative_finite_float,
+                     required=True, help=">= 0 and finite")
+    mfp.add_argument("--e-c", dest="e_c", type=_finite_float, default=1.0,
+                     help="finite")
+    mfp.add_argument("--kappa", type=_non_negative_finite_float,
+                     default=0.01, help=">= 0 and finite")
     mfp.add_argument("--maxwell", action="store_true",
                      help="add the equal-area transition point to the summary")
     common(mfp)

@@ -73,7 +73,8 @@ def validate_params(p: ModelParams) -> ModelParams:
     NonPositiveKappaError
         If kappa <= 0.
     ValueError
-        For a negative pairing amplitude or unknown boundary tag.
+        For a negative pairing amplitude, an unknown boundary tag, or a
+        non-finite mu, delta, e_c or kappa.
 
     Warns with :class:`OddPbcLengthWarning` for odd periodic chains, which
     are legal but excluded from the closed-form correlation routines.
@@ -86,6 +87,9 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise NonPositiveKappaError(f"kappa must be > 0, got {p.kappa}")
     if p.delta < 0:
         raise ValueError(f"delta must be >= 0, got {p.delta}")
+    for name in ("mu", "delta", "e_c", "kappa"):
+        if not math.isfinite(getattr(p, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(p, name)}")
     if p.bc == PBC and p.L % 2 == 1:
         warnings.warn(
             f"odd periodic chain (L={p.L}): closed-form correlations "

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import IterationLimitError, NoBistableWindowError
 
@@ -183,6 +182,8 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
     IterationLimitError
         If MAX_BISECTIONS halvings do not finish.
     """
+    from scipy.integrate import quad
+
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     mu_lo, mu_hi = _fold_window(delta, e_c, kappa)

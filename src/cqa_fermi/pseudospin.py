@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, kernels
+from . import kernels
 from .core import ModelParams, validate_params
 from .errors import InvalidStateError, StepTooLargeError
 
@@ -244,6 +244,8 @@ def interaction_breakdown(p: float, beta_coh: complex, e_c: float,
     loss plus quarter dephasing.  The fermion energy drops 3/2 times faster:
     breaking a pair leaves single fermions the spin model cannot represent.
     """
+    from . import fock
+
     if not 0.0 <= p <= 1.0:
         raise InvalidStateError(f"population p={p} outside [0, 1]")
     if abs(beta_coh) > math.sqrt(p * (1.0 - p)) + 1e-15:

@@ -201,8 +201,12 @@ def grid_observables(L: int, bc: str, mus, deltas, e_c: float,
     of :func:`build_coefficients` and the per-point observables bit for bit.
     """
     deltas = np.asarray(deltas, dtype=float)
-    validate_params(ModelParams(L=L, bc=bc, delta=float(np.min(deltas)),
-                                e_c=e_c, kappa=kappa))
+    # min and max propagate nan and hold any infinity, so the two corners
+    # validate every grid value
+    for pick in (np.min, np.max):
+        validate_params(ModelParams(L=L, bc=bc, mu=float(pick(mus)),
+                                    delta=float(pick(deltas)), e_c=e_c,
+                                    kappa=kappa))
     chain = chain_tables(L, bc)
     log_mag, pn = np.empty(chain.n_max + 1), np.empty(chain.n_max + 1)
     corr = has_correlations(L, bc)

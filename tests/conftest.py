@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cqa_fermi import fock
+from cqa_fermi import fock, pseudospin as ps
 from cqa_fermi.core import PBC, ModelParams
 
 
@@ -13,6 +13,20 @@ def _silence_odd_pbc_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=UserWarning)
         yield
+
+
+@pytest.fixture(scope="session")
+def tfim_trajectories():
+    """Fermion and spin moments of the L=10 ring from the vacuum to t=500.
+
+    One batched integration at dt=0.008 returns (fermion, spin) at e_c=0
+    followed by (fermion, spin) at e_c=1; mu=0.2, delta=0.3, kappa=0.01.
+    """
+    free = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=0.0, kappa=0.01)
+    inter = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=1.0, kappa=0.01)
+    return ps.integrate_moments(
+        [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN) * 2],
+        [free, free, inter, inter], 500.0, 0.008)
 
 
 def dark_pair_operator(system: fock.DoubledSystem, bc: str) -> sp.csr_matrix:

@@ -218,14 +218,8 @@ def _invert_critical_line(delta, kappa, lo=0.05, hi=0.49):
     return 0.5 * (lo + hi)
 
 
-def test_criterion_09_tfim_equivalence_and_breakdown():
-    free = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=0.0, kappa=0.01)
-    inter = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=1.0, kappa=0.01)
-    dt = 0.008
-    # free/interacting x fermion/spin as one batched integration
-    f0, s0, f1, s1 = ps.integrate_moments(
-        [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN) * 2],
-        [free, free, inter, inter], 500.0, dt)
+def test_criterion_09_tfim_equivalence_and_breakdown(tfim_trajectories):
+    f0, s0, f1, s1 = tfim_trajectories
     agree = max(np.abs(f0.s_minus - s0.s_minus).max(),
                 np.abs(f0.s_z - s0.s_z).max())
     diverge = max(np.abs(f1.s_minus - s1.s_minus).max(),

@@ -284,6 +284,32 @@ class TestExitCodes:
                     "--output", str(out)]) == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--L", "20", "--mu", "nan", "--delta", "0.05"],
+        ["phase-diagram", "--L", "20", "--mu", "0.1", "--delta", "0.05",
+         "--kappa", "nan"],
+        ["tfim", "--L", "4", "--kappa", "nan"],
+        ["tfim", "--L", "4", "--mu", "inf"],
+        ["htrs", "--L", "4", "--kappa", "nan"],
+        ["htrs", "--L", "4", "--delta", "inf"],
+    ])
+    def test_non_finite_parameters_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--kappa", "-1"], ["--kappa", "nan"], ["--delta", "-0.05"],
+        ["--delta", "inf"], ["--e-c", "nan"], ["--e-c=-inf"],
+    ])
+    def test_mean_field_bad_flags_rejected_when_parsed(self, flags):
+        argv = ["mean-field", "--mu", "0.2", "--delta", "0.05", *flags]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert run(argv) == cli.EXIT_VALIDATION
+
     def test_jobs_flag_rejected(self):
         assert run(["phase-diagram", "--L", "20", "--mu", "0.1",
                     "--delta", "0.02", "--jobs", "2"]) == cli.EXIT_VALIDATION

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +35,13 @@ class TestValidateParams:
     def test_short_chain_rejected(self):
         with pytest.raises(BadLengthError):
             validate_params(ModelParams(L=1, bc=OBC, kappa=0.1))
+
+    @pytest.mark.parametrize("field", ["mu", "delta", "e_c", "kappa"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.1, e_c=1.0, kappa=0.1)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            validate_params(dataclasses.replace(p, **{field: value}))
 
     def test_odd_pbc_warns_but_passes(self):
         p = ModelParams(L=5, bc=PBC, mu=0.1, delta=0.1, kappa=0.1)

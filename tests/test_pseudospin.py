@@ -9,7 +9,6 @@ from cqa_fermi import fock, meanfield as mf, pseudospin as ps
 from cqa_fermi.core import PBC, ModelParams, nearest_neighbor_pairing
 from cqa_fermi.errors import InvalidStateError, StepTooLargeError
 
-PARAMS_FREE = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=0.0, kappa=0.01)
 PARAMS_INT = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=1.0, kappa=0.01)
 
 
@@ -136,17 +135,13 @@ class TestIntegration:
         traj = ps.integrate_moments(st, p, 40.0, 0.004)
         assert traj.s_z[-1][0] == pytest.approx(-1.0, abs=1e-8)
 
-    def test_free_trajectories_coincide(self):
-        f, s = ps.integrate_moments(
-            [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN)],
-            PARAMS_FREE, 500.0, 0.008)
+    def test_free_trajectories_coincide(self, tfim_trajectories):
+        f, s = tfim_trajectories[:2]
         assert np.abs(f.s_minus - s.s_minus).max() < 1e-8
         assert np.abs(f.s_z - s.s_z).max() < 1e-8
 
-    def test_interacting_trajectories_diverge(self):
-        f, s = ps.integrate_moments(
-            [ps.vacuum_state(10, kind) for kind in (ps.FERMION, ps.SPIN)],
-            PARAMS_INT, 500.0, 0.008)
+    def test_interacting_trajectories_diverge(self, tfim_trajectories):
+        f, s = tfim_trajectories[2:]
         diff = max(np.abs(f.s_minus - s.s_minus).max(),
                    np.abs(f.s_z - s.s_z).max())
         assert diff > 1e-3

@@ -1,0 +1,51 @@
+"""Start-up cost: each command imports only the modules it uses."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import cqa_fermi
+from cqa_fermi import steadystate
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cqa_fermi.__file__)))
+
+PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import cqa_fermi.cli
+import cqa_fermi.pseudospin
+after_import = scipy_modules()
+rc = cqa_fermi.cli.main(["tfim", "--L", "4", "--t-final", "0.08",
+                         "--samples", "3", "--output", sys.argv[1]])
+print(json.dumps({"import": after_import, "rc": rc, "tfim": scipy_modules()}))
+"""
+
+
+def test_cli_and_tfim_load_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *filter(None, [env.get("PYTHONPATH")])])
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path / "tf.csv")],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    probe = json.loads(out.stdout)
+    assert probe["import"] == []
+    assert probe["rc"] == 0
+    assert probe["tfim"] == []
+
+
+@pytest.mark.parametrize("name", ["CoefficientTable", "build_coefficients",
+                                  "mean_density"])
+def test_steadystate_names_served_by_package(name):
+    assert getattr(cqa_fermi, name) is getattr(steadystate, name)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cqa_fermi.no_such_name  # noqa: B018
