@@ -2,7 +2,7 @@
 
 Modules
 -------
-core          parameters, validation, log-domain complex scalars
+core          parameters, validation, pairing matrix
 combinatorics exact dimer-covering counts (three routes)
 steadystate   coefficient tables and closed-form observables
 thermo        effective free energy, wells, first-order boundary
@@ -10,7 +10,7 @@ meanfield     self-consistency, bistability, equal-area construction
 pseudospin    momentum-pair moment dynamics and the spin mapping
 fock          brute-force Lindblad exact-diagonalization oracle
 cli           reproducible data-file front end (``cqa-fermi``)
-kernels       numba/numpy dual-backend hot loops
+kernels       numpy hot loops: log-domain tables and sums, RK4
 """
 
 __version__ = "0.1.0"
@@ -18,11 +18,8 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     OBC,
     PBC,
-    LogComplex,
     ModelParams,
     PairingMatrix,
-    log_product,
-    log_sum,
     nearest_neighbor_pairing,
     validate_params,
 )

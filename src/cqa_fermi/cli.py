@@ -71,16 +71,24 @@ class RunConfig:
     summary: dict = field(default_factory=dict)
 
 
+def _grid_value(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"grid value {text!r} must be finite")
+    return val
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:count`` (inclusive), a comma list, or one number.
 
-    Grids must be strictly increasing.
+    Grids must be finite and strictly increasing.
     """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} is not start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _grid_value(parts[0]), _grid_value(parts[1])
+        count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
         if count == 1:
@@ -89,9 +97,9 @@ def parse_grid(text: str) -> np.ndarray:
             return np.array([start])
         vals = np.linspace(start, stop, count)
     elif "," in text:
-        vals = np.array([float(v) for v in text.split(",")])
+        vals = np.array([_grid_value(v) for v in text.split(",")])
     else:
-        return np.array([float(text)])
+        return np.array([_grid_value(text)])
     if np.any(np.diff(vals) <= 0):
         raise ValueError(f"grid {text!r} is not strictly increasing")
     return vals

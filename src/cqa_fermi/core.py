@@ -1,15 +1,13 @@
-"""Model parameters and log-domain complex arithmetic.
+"""Model parameters, their validation, and the pairing matrix.
 
 Steady-state coefficients at chain lengths ~1e5 involve products of tens of
 thousands of complex factors whose magnitudes span thousands of orders of
-magnitude.  All such products and sums are therefore carried as
-(log-magnitude, phase) pairs; `LogComplex` is the scalar form and the array
-form lives in :mod:`cqa_fermi.kernels`.
+magnitude; they are carried as (log-magnitude, phase) arrays by
+:mod:`cqa_fermi.kernels`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,16 +22,6 @@ from .errors import (
 
 PBC = "pbc"
 OBC = "obc"
-
-_TWO_PI = 2.0 * math.pi
-
-
-def wrap_phase(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    w = phi % _TWO_PI
-    if w > math.pi:
-        w -= _TWO_PI
-    return w
 
 
 @dataclass(frozen=True)
@@ -98,92 +86,6 @@ def validate_params(p: ModelParams) -> ModelParams:
             stacklevel=2,
         )
     return p
-
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A complex number stored as (natural-log magnitude, phase).
-
-    ``log_mag = -inf`` encodes an exact zero (phase fixed to 0).  The phase
-    of a nonzero value is kept in (-pi, pi].
-    """
-
-    log_mag: float
-    phase: float
-
-    @classmethod
-    def one(cls) -> "LogComplex":
-        return cls(0.0, 0.0)
-
-    @classmethod
-    def zero(cls) -> "LogComplex":
-        return cls(float("-inf"), 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return cls.zero()
-        return cls(math.log(abs(z)), cmath.phase(z))
-
-    def to_complex(self) -> complex:
-        """Native complex value; overflows to inf for log_mag >~ 709."""
-        if self.is_zero:
-            return 0j
-        return cmath.rect(math.exp(self.log_mag), self.phase)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == float("-inf")
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return LogComplex.zero()
-        return LogComplex(
-            self.log_mag + other.log_mag,
-            wrap_phase(self.phase + other.phase),
-        )
-
-    def conjugate(self) -> "LogComplex":
-        if self.is_zero:
-            return self
-        return LogComplex(self.log_mag, wrap_phase(-self.phase))
-
-
-def log_product(terms) -> LogComplex:
-    """Product of LogComplex values; the empty product is unity.
-
-    Exact zeros propagate; no intermediate exponentiation occurs, so the
-    result stays finite for products spanning ~1e5 factors.
-    """
-    log_mag = 0.0
-    phase = 0.0
-    for t in terms:
-        if t.is_zero:
-            return LogComplex.zero()
-        log_mag += t.log_mag
-        phase += t.phase
-    return LogComplex(log_mag, wrap_phase(phase))
-
-
-def log_sum(terms) -> LogComplex:
-    """Sum of LogComplex values via the shifted-exponent technique.
-
-    The maximum log-magnitude is factored out before exponentiating, so the
-    sum is exact-zero-safe and immune to overflow as long as the *relative*
-    spread of the terms is representable.
-    """
-    terms = list(terms)
-    shift = max((t.log_mag for t in terms), default=float("-inf"))
-    if shift == float("-inf"):
-        return LogComplex.zero()
-    acc = 0j
-    for t in terms:
-        if not t.is_zero:
-            acc += cmath.rect(math.exp(t.log_mag - shift), t.phase)
-    if acc == 0:
-        return LogComplex.zero()
-    return LogComplex(shift + math.log(abs(acc)), cmath.phase(acc))
 
 
 @dataclass(frozen=True)

@@ -155,14 +155,14 @@ def build_hamiltonian(pairing, mu: float, e_c: float,
         + sum_{i<j} (2 D_ij c_i^dag c_j^dag + h.c.)
 
     where D is the antisymmetric pairing matrix (the factor 2 restores the
-    unrestricted double sum over ordered index pairs).
+    unrestricted double sum over ordered index pairs).  The sums run over
+    the M modes of ``ops``, which may be a block of a larger Fock space.
     """
     D = pairing.entries if isinstance(pairing, PairingMatrix) else np.asarray(pairing)
     M = len(ops)
     if D.shape != (M, M):
         raise DimensionMismatchError(f"pairing shape {D.shape} vs {M} modes")
-    dim = 1 << M
-    occ = _popcounts(dim).astype(float)
+    occ = sum(n.matrix.diagonal().real for n in number_operators(ops))
     diag = -mu * occ + (e_c / (2.0 * M)) * occ * occ
     H = sp.diags(diag.astype(complex)).tocsr()
     for i in range(M):
@@ -170,7 +170,7 @@ def build_hamiltonian(pairing, mu: float, e_c: float,
             if D[i, j] != 0:
                 term = (2.0 * D[i, j]) * (ops[i].dag().matrix @ ops[j].dag().matrix)
                 H = H + term + term.conj().T
-    return FockOperator(M, H.tocsr(), "even")
+    return FockOperator(ops[0].n_modes, H.tocsr(), "even")
 
 
 @dataclass(frozen=True)
@@ -418,12 +418,9 @@ def build_doubled_system(params_or_pairing, mu=None, e_c=None, kappa=None,
         raise TooManyModesError(f"doubled system needs {2 * L} modes (cap {MAX_MODES})")
     ops = build_operators(2 * L)
     a_ops, b_ops = ops[:L], ops[L:]
-    dim = 1 << (2 * L)
-    H = sp.csr_matrix((dim, dim), dtype=complex)
-    H = _add_block_hamiltonian(H, pm.entries, mu, e_c, a_ops, +1.0)
-    H = _add_block_hamiltonian(H, pm.entries,
-                               mu if absorber_mu is None else absorber_mu,
-                               e_c, b_ops, -1.0)
+    H = (build_hamiltonian(pm, mu, e_c, a_ops).matrix
+         - build_hamiltonian(pm, mu if absorber_mu is None else absorber_mu,
+                             e_c, b_ops).matrix)
     for a, b in zip(a_ops, b_ops):
         t = a.dag().matrix @ b.matrix
         H = H + (-0.5j * kappa) * (t - t.conj().T)
@@ -434,23 +431,6 @@ def build_doubled_system(params_or_pairing, mu=None, e_c=None, kappa=None,
     ]
     return DoubledSystem(L=L, ops=ops, hamiltonian=hamiltonian,
                          jumps=jumps, kappa=kappa)
-
-
-def _add_block_hamiltonian(H, D, mu, e_c, block_ops, sign):
-    L = len(block_ops)
-    dim = H.shape[0]
-    occ = np.zeros(dim)
-    for c in block_ops:
-        occ += (c.dag() @ c).matrix.diagonal().real
-    H = H + sign * sp.diags((-mu * occ + (e_c / (2.0 * L)) * occ * occ).astype(complex))
-    for i in range(L):
-        for j in range(i + 1, L):
-            if D[i, j] != 0:
-                t = (2.0 * D[i, j]) * (
-                    block_ops[i].dag().matrix @ block_ops[j].dag().matrix
-                )
-                H = H + sign * (t + t.conj().T)
-    return H
 
 
 def build_cqa_state(params_or_pairing, mu=None, e_c=None, kappa=None,
@@ -580,8 +560,9 @@ class PerturbationSpec:
     gamma_p: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_p < 0:
-            raise ValueError("gamma_p must be >= 0")
+        if not 0 <= self.gamma_p < math.inf:  # also rejects nan
+            raise ValueError(f"gamma_p must be >= 0 and finite, "
+                             f"got {self.gamma_p}")
 
 
 @dataclass(frozen=True)
@@ -620,8 +601,8 @@ def htrs_point(ops: list[FockOperator], H: FockOperator, kappa: float,
     D[c_site^dag] at rate ``gamma_p`` on ``pump_site``: the Liouvillian, its
     steady state and <c_i(t) c_j(0)>, <c_j(t) c_i(0)> for (i, j) = ``sites``
     (1-based)."""
-    if not gamma_p >= 0:  # also rejects nan
-        raise ValueError(f"gamma_p must be >= 0, got {gamma_p}")
+    if not 0 <= gamma_p < math.inf:  # also rejects nan
+        raise ValueError(f"gamma_p must be >= 0 and finite, got {gamma_p}")
     i, j = sites[0] - 1, sites[1] - 1
     jumps = list(ops)
     rates = [kappa] * len(ops)

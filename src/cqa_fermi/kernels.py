@@ -5,36 +5,18 @@
 * the fixed-step RK4 integrator for the per-mode moment equations, batched
   over trajectories.
 
-The tables and reductions have numba-jitted twins, selected by the
-environment variable ``CQA_FERMI_NUMBA``: unset or ``"1"`` uses numba when
-importable, ``"0"`` forces the pure-numpy path.  ``benchmarks/bench_kernels.py``
-times the kernels of the active backend.  Both paths compute identical
-quantities; last-ulp differences are possible because summation orders
-differ.  The RK4 integrator is numpy-only.
+Every kernel is plain numpy; ``perfbench/run.py --trace 1`` reports their
+call counts and self times.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("CQA_FERMI_NUMBA", "1") != "0"
-try:
-    if not _want_numba:
-        raise ImportError
-    from numba import njit as _njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
+# read by the benchmark's run manifest; numpy is the only backend
+USING_NUMBA = False
 
 NEG_INF = float("-inf")
 
@@ -43,7 +25,8 @@ NEG_INF = float("-inf")
 # log-sum-exp reductions
 # ---------------------------------------------------------------------------
 
-def _logsumexp_real_np(log_vals: np.ndarray) -> float:
+def logsumexp_real(log_vals: np.ndarray) -> float:
+    """ln(sum exp(log_vals)); -inf for an empty or all-zero sum."""
     if log_vals.size == 0:
         return NEG_INF
     shift = float(np.max(log_vals))
@@ -54,24 +37,7 @@ def _logsumexp_real_np(log_vals: np.ndarray) -> float:
     return shift + math.log(float(np.sum(terms)))
 
 
-@_njit(cache=True)
-def _logsumexp_real_nb(log_vals):  # pragma: no cover - jitted
-    n = log_vals.shape[0]
-    if n == 0:
-        return NEG_INF
-    shift = NEG_INF
-    for i in range(n):
-        if log_vals[i] > shift:
-            shift = log_vals[i]
-    if shift == NEG_INF:
-        return NEG_INF
-    acc = 0.0
-    for i in range(n):
-        acc += math.exp(log_vals[i] - shift)
-    return shift + math.log(acc)
-
-
-def _logsumexp_complex_np(log_mag: np.ndarray, phase=None, factor=None):
+def logsumexp_complex(log_mag: np.ndarray, phase=None, factor=None):
     """(ln|s|, arg s) of s = sum exp(log_mag + i phase).
 
     ``factor`` = exp(i phase) may be passed instead of ``phase`` when the
@@ -92,35 +58,12 @@ def _logsumexp_complex_np(log_mag: np.ndarray, phase=None, factor=None):
     return shift + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
 
 
-@_njit(cache=True)
-def _logsumexp_complex_nb(log_mag, phase):  # pragma: no cover - jitted
-    n = log_mag.shape[0]
-    if n == 0:
-        return NEG_INF, 0.0
-    shift = NEG_INF
-    for i in range(n):
-        if log_mag[i] > shift:
-            shift = log_mag[i]
-    if shift == NEG_INF:
-        return NEG_INF, 0.0
-    re = 0.0
-    im = 0.0
-    for i in range(n):
-        if log_mag[i] > NEG_INF:
-            r = math.exp(log_mag[i] - shift)
-            re += r * math.cos(phase[i])
-            im += r * math.sin(phase[i])
-    mag = math.hypot(re, im)
-    if mag == 0.0:
-        return NEG_INF, 0.0
-    return shift + math.log(mag), math.atan2(im, re)
-
-
 # ---------------------------------------------------------------------------
 # cumulative coefficient logs:  a_n = prefactor^n / prod_{m=1..n} (mu~ - m*e_c/L)
 # ---------------------------------------------------------------------------
 
-def _coefficient_logs_np(log_prefactor, mu, kappa, e_c, L, n_max):
+def coefficient_logs(log_prefactor, mu, kappa, e_c, L, n_max):
+    """(ln|a_n|, unwrapped arg a_n) for n = 0..n_max, with mu~ = mu + i kappa/2."""
     m = np.arange(1, n_max + 1, dtype=float)
     z_re = mu - (e_c / L) * m
     z_im = 0.5 * kappa
@@ -134,24 +77,6 @@ def _coefficient_logs_np(log_prefactor, mu, kappa, e_c, L, n_max):
         n = np.arange(1, n_max + 1, dtype=float)
         log_mag[1:] = n * log_prefactor - np.cumsum(log_den)
         phase[1:] = -np.cumsum(arg_den)
-    return log_mag, phase
-
-
-@_njit(cache=True)
-def _coefficient_logs_nb(log_prefactor, mu, kappa, e_c, L, n_max):  # pragma: no cover
-    log_mag = np.empty(n_max + 1)
-    phase = np.empty(n_max + 1)
-    log_mag[0] = 0.0
-    phase[0] = 0.0
-    lm = 0.0
-    ph = 0.0
-    z_im = 0.5 * kappa
-    for m in range(1, n_max + 1):
-        z_re = mu - (e_c / L) * m
-        lm += log_prefactor - 0.5 * math.log(z_re * z_re + z_im * z_im)
-        ph -= math.atan2(z_im, z_re)
-        log_mag[m] = lm
-        phase[m] = ph
     return log_mag, phase
 
 
@@ -273,17 +198,3 @@ def rk4_moments(s_minus, s_z, dk, mu, e_c, kappa, L, fs, dt, n_steps, stride):
             rec_z[:, step // stride] = z
     return rec_minus, rec_z
 
-
-if USING_NUMBA:
-    def logsumexp_complex(log_mag, phase=None, factor=None):
-        # the jitted loop takes phases; a precomputed factor stays on numpy
-        if factor is None:
-            return _logsumexp_complex_nb(log_mag, phase)
-        return _logsumexp_complex_np(log_mag, factor=factor)
-
-    logsumexp_real = _logsumexp_real_nb
-    coefficient_logs = _coefficient_logs_nb
-else:
-    logsumexp_real = _logsumexp_real_np
-    logsumexp_complex = _logsumexp_complex_np
-    coefficient_logs = _coefficient_logs_np

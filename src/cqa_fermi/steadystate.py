@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import combinatorics, kernels
-from .core import OBC, PBC, LogComplex, ModelParams, validate_params, wrap_phase
+from .core import OBC, PBC, ModelParams, validate_params
 from .errors import BoundaryUnsupportedError
 
 NEG_INF = float("-inf")
@@ -66,15 +66,6 @@ class CoefficientTable:
     p: np.ndarray
     chain: ChainTables = field(repr=False)
     row: MuRow = field(repr=False)
-
-    def alpha(self, n: int) -> LogComplex:
-        """Coefficient a_n as a LogComplex scalar."""
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside 0..{self.n_max}")
-        lm = float(self.alpha_log_mag[n])
-        if lm == NEG_INF:
-            return LogComplex.zero()
-        return LogComplex(lm, wrap_phase(float(self.alpha_phase[n])))
 
     def alpha_complex(self) -> np.ndarray:
         """Native-complex coefficients; overflows for large chains.

@@ -46,6 +46,13 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             cli.parse_grid("1:2:3:4")
 
+    @pytest.mark.parametrize("text", [
+        "nan", "inf", "-inf", "0,nan", "inf,1", "-inf,0,1", "0:inf:3",
+        "nan:1:3", "-inf:0:2", "nan:nan:1", "inf:inf:1"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            cli.parse_grid(text)
+
 
 class TestFormatting:
     def test_seventeen_significant_digits(self):
@@ -292,6 +299,9 @@ class TestExitCodes:
         ["tfim", "--L", "4", "--mu", "inf"],
         ["htrs", "--L", "4", "--kappa", "nan"],
         ["htrs", "--L", "4", "--delta", "inf"],
+        ["htrs", "--L", "4", "--gamma-p", "inf"],
+        ["mean-field", "--mu", "nan", "--delta", "0.05", "--e-c", "0"],
+        ["critical-line", "--mu", "0.1,nan"],
     ])
     def test_non_finite_parameters_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from cqa_fermi import kernels
 from cqa_fermi.core import (
     OBC,
     PBC,
-    LogComplex,
     ModelParams,
     PairingMatrix,
-    log_product,
-    log_sum,
     nearest_neighbor_pairing,
     validate_params,
 )
@@ -54,70 +52,83 @@ class TestValidateParams:
 
 
 class TestLogComplex:
+    """Log-domain complex arithmetic, (ln|z|, arg z), as the package carries
+    it: products through ``kernels.coefficient_logs``, which returns the
+    running product a_n = prefactor^n / prod_{m<=n} (mu~ - m e_c/L), and
+    sums through ``kernels.logsumexp_complex``."""
+
     def test_empty_product_is_unity(self):
-        assert log_product([]) == LogComplex(0.0, 0.0)
+        lm, ph = kernels.coefficient_logs(math.log(0.3), 0.2, 0.1, 1.0,
+                                          4.0, 0)
+        assert lm.tolist() == [0.0] and ph.tolist() == [0.0]
 
     def test_i_times_i(self):
-        i = LogComplex.from_complex(1j)
-        out = log_product([i, i])
-        assert out.log_mag == pytest.approx(0.0, abs=1e-15)
-        assert out.phase == pytest.approx(math.pi)
+        # mu~ = i for every factor, so a_2 = 1 / (i * i) = -1
+        lm, ph = kernels.coefficient_logs(0.0, 0.0, 2.0, 0.0, 4.0, 2)
+        assert lm[2] == pytest.approx(0.0, abs=1e-15)
+        assert cmath.exp(1j * ph[2]) == pytest.approx(-1.0, abs=1e-15)
 
     def test_phase_stays_in_half_open_interval(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             vals = rng.normal(size=4) + 1j * rng.normal(size=4)
-            out = log_product([LogComplex.from_complex(v) for v in vals])
-            assert -math.pi < out.phase <= math.pi
+            _, ph = kernels.logsumexp_complex(np.log(np.abs(vals)),
+                                              np.angle(vals))
+            assert -math.pi < ph <= math.pi
 
     def test_product_matches_direct_evaluation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            vals = rng.normal(size=6) + 1j * rng.normal(size=6)
-            direct = np.prod(vals)
-            out = log_product([LogComplex.from_complex(v) for v in vals])
-            assert abs(out.to_complex() - direct) <= 1e-10 * abs(direct)
+            mu, e_c = rng.normal(size=2)
+            kappa = rng.uniform(0.1, 2.0)
+            lm, ph = kernels.coefficient_logs(0.0, mu, kappa, e_c, 4.0, 6)
+            direct = 1.0 / np.prod(complex(mu, 0.5 * kappa)
+                                   - np.arange(1, 7) * e_c / 4.0)
+            out = cmath.exp(complex(lm[6], ph[6]))
+            assert abs(out - direct) <= 1e-10 * abs(direct)
 
     def test_zero_propagates(self):
-        terms = [LogComplex.from_complex(2.0), LogComplex.zero()]
-        assert log_product(terms).is_zero
+        # delta = 0: a_0 = 1 and every later coefficient is exactly zero
+        lm, ph = kernels.coefficient_logs(-math.inf, 0.3, 0.2, 1.0, 4.0, 3)
+        assert lm[0] == 0.0
+        assert np.all(lm[1:] == -math.inf)
+        assert np.all(np.isfinite(ph))
 
     def test_sum_matches_direct_evaluation(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             vals = rng.normal(size=8) + 1j * rng.normal(size=8)
             direct = np.sum(vals)
-            out = log_sum([LogComplex.from_complex(v) for v in vals])
-            assert abs(out.to_complex() - direct) <= 1e-12 * abs(direct)
+            lm, ph = kernels.logsumexp_complex(np.log(np.abs(vals)),
+                                               np.angle(vals))
+            out = cmath.exp(complex(lm, ph))
+            assert abs(out - direct) <= 1e-12 * abs(direct)
 
     def test_sum_of_zeros_is_zero(self):
-        assert log_sum([LogComplex.zero(), LogComplex.zero()]).is_zero
-        assert log_sum([]).is_zero
+        zeros = np.full(2, -math.inf)
+        assert kernels.logsumexp_complex(zeros, np.zeros(2))[0] == -math.inf
+        assert kernels.logsumexp_complex(np.array([]),
+                                         np.array([]))[0] == -math.inf
 
     def test_huge_product_stays_finite(self):
-        # 50000 factors (mu~ - m/L) at L = 1e5: far beyond native range
-        L, mu, kappa = 100_000, 0.2, 1e-6
-        mu_t = complex(mu, kappa / 2)
-        terms = [LogComplex.from_complex(mu_t - m / L) for m in range(1, 50_001)]
-        out = log_product(terms)
-        assert math.isfinite(out.log_mag)
-        assert out.log_mag < -1e4  # magnitudes shrink far below underflow
+        # 50000 factors 1/(mu~ - m/L) at L = 1e5: far beyond native range
+        lm, ph = kernels.coefficient_logs(0.0, 0.2, 1e-6, 1.0, 100_000.0,
+                                          50_000)
+        assert np.all(np.isfinite(lm)) and np.all(np.isfinite(ph))
+        assert lm[-1] > 1e4  # magnitudes grow far above overflow
 
     def test_against_extended_precision(self):
-        # same product truncated to 100 factors, checked against mpmath
+        # the same product truncated to 100 factors, checked against mpmath
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 60
         L, mu, kappa = 100_000, 0.2, 1e-6
         acc = mpmath.mpc(1)
-        terms = []
         for m in range(1, 101):
-            z = complex(mu - m / L, kappa / 2)
-            acc *= mpmath.mpc(z.real, z.imag)
-            terms.append(LogComplex.from_complex(z))
-        out = log_product(terms)
-        ref_log = mpmath.log(abs(acc))
-        assert out.log_mag == pytest.approx(float(ref_log), rel=1e-10)
-        assert out.phase == pytest.approx(float(mpmath.arg(acc)), abs=1e-10)
+            acc *= mpmath.mpc(mu - m / L, kappa / 2)
+        lm, ph = kernels.coefficient_logs(0.0, mu, kappa, 1.0, float(L), 100)
+        assert lm[-1] == pytest.approx(-float(mpmath.log(abs(acc))),
+                                       rel=1e-10)
+        assert ph[-1] == pytest.approx(-float(mpmath.arg(acc)), abs=1e-10)
 
 
 class TestPairingMatrix:
@@ -159,10 +170,10 @@ class TestPairingMatrix:
 
 def test_log_product_agrees_with_cmath_chain():
     # independent reference: accumulate in native complex where safe
-    rng = np.random.default_rng(23)
-    vals = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-3, 3)) for _ in range(30)]
+    mu, kappa, e_c, L = 0.37, 0.21, 1.3, 7.0
+    lm, ph = kernels.coefficient_logs(math.log(0.8), mu, kappa, e_c, L, 30)
     direct = 1.0 + 0j
-    for v in vals:
-        direct *= v
-    out = log_product([LogComplex.from_complex(v) for v in vals])
-    assert out.to_complex() == pytest.approx(direct, rel=1e-10)
+    for m in range(1, 31):
+        direct *= 0.8 / complex(mu - m * e_c / L, 0.5 * kappa)
+    assert cmath.exp(complex(lm[30], ph[30])) == pytest.approx(direct,
+                                                                rel=1e-10)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,6 +106,33 @@ class TestParityDerivation:
         assert (n0 - ops[1].dag() @ ops[2]).parity == "even"
 
 
+def term_sum_doubled_hamiltonian(p, absorber_mu):
+    """Absorber-doubled Hamiltonian added up term by term into one matrix:
+    the physical block, minus the absorber block at ``absorber_mu``, plus
+    the cascade coupling."""
+    D = nearest_neighbor_pairing(p.L, p.delta, p.bc).entries
+    ops = fock.build_operators(2 * p.L)
+    dim = 1 << (2 * p.L)
+    H = sp.csr_matrix((dim, dim), dtype=complex)
+    for block, mu, sign in ((ops[:p.L], p.mu, 1.0),
+                            (ops[p.L:], absorber_mu, -1.0)):
+        occ = np.zeros(dim)
+        for c in block:
+            occ += (c.dag() @ c).matrix.diagonal().real
+        H = H + sign * sp.diags(
+            (-mu * occ + (p.e_c / (2.0 * p.L)) * occ * occ).astype(complex))
+        for i in range(p.L):
+            for j in range(i + 1, p.L):
+                if D[i, j] != 0:
+                    t = (2.0 * D[i, j]) * (
+                        block[i].dag().matrix @ block[j].dag().matrix)
+                    H = H + sign * (t + t.conj().T)
+    for a, b in zip(ops[:p.L], ops[p.L:]):
+        t = a.dag().matrix @ b.matrix
+        H = H + (-0.5j * p.kappa) * (t - t.conj().T)
+    return H.tocsr()
+
+
 class TestHamiltonian:
     def test_diagonal_without_pairing(self):
         ops = fock.build_operators(3)
@@ -128,6 +157,21 @@ class TestHamiltonian:
         ops = fock.build_operators(3)
         with pytest.raises(DimensionMismatchError):
             fock.build_hamiltonian(np.zeros((4, 4)), 0.1, 0.0, ops)
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    @pytest.mark.parametrize("bc", [PBC, OBC])
+    @pytest.mark.parametrize("detuning", [None, 0.0, 0.3, -0.3])
+    def test_doubled_blocks_bit_identical_to_term_sum(self, L, bc, detuning):
+        p = ModelParams(L=L, bc=bc, mu=0.23, delta=0.31, e_c=1.0, kappa=0.07)
+        absorber_mu = None if detuning is None else p.mu + detuning
+        got = fock.build_doubled_system(
+            p, absorber_mu=absorber_mu).hamiltonian.matrix.copy()
+        ref = term_sum_doubled_hamiltonian(
+            p, p.mu if absorber_mu is None else absorber_mu)
+        got.sort_indices()
+        ref.sort_indices()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
 
 class TestLiouvillian:
@@ -334,6 +378,15 @@ class TestHtrsBreaking:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             fock.PerturbationSpec(site=1, gamma_p=-0.1)
+
+    @pytest.mark.parametrize("gamma_p", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, gamma_p):
+        with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
+            fock.PerturbationSpec(site=1, gamma_p=gamma_p)
+        ops, H = fock._single_system(
+            ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01))
+        with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
+            fock.htrs_point(ops, H, 0.01, gamma_p, np.linspace(0.0, 1.0, 3))
 
 
 def full_space_traces(liouv, v0, times, observables):
