@@ -6,6 +6,10 @@ version and the git hash, so a run is reproducible from its own output.
 Numbers are printed with 17 significant digits; re-running a command with
 identical flags yields byte-identical data sections.
 
+Each flag is declared once, in :data:`COMMANDS`, which builds the parser,
+checks every value's domain when the arguments are parsed, and orders the
+flags the header records.
+
 Exit codes: 0 success, 2 validation error, 3 numerical-guard trip.
 """
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import ModelParams, validate_params
+from .core import ModelParams
 from .errors import (
     CqaFermiError,
     DegenerateKernelError,
@@ -71,38 +75,72 @@ class RunConfig:
     summary: dict = field(default_factory=dict)
 
 
-def _grid_value(text: str) -> float:
-    val = float(text)
+def _number(text: str, integer: bool = False):
+    """``text`` as a finite float, or int if ``integer``; a bad value
+    raises ValueError phrased "must be …, got …", non-finite first."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text}") from None
     if not math.isfinite(val):
-        raise ValueError(f"grid value {text!r} must be finite")
-    return val
+        raise ValueError(f"must be finite, got {text}")
+    if not integer:
+        return val
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text}") from None
 
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:count`` (inclusive), a comma list, or one number.
 
-    Grids must be finite and strictly increasing.
+    Grids must be finite and strictly increasing; a bad grid raises
+    ValueError phrased "must be …, got …".
     """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid {text!r} is not start:stop:count")
-        start, stop = _grid_value(parts[0]), _grid_value(parts[1])
-        count = int(parts[2])
+            raise ValueError(f"must be start:stop:count, got {text}")
+        start, stop = _number(parts[0]), _number(parts[1])
+        count = _number(parts[2], integer=True)
         if count < 1:
-            raise ValueError("grid count must be >= 1")
+            raise ValueError(f"must have a count >= 1, got {text}")
         if count == 1:
             if start != stop:
-                raise ValueError("single-point grid needs start == stop")
+                raise ValueError(f"must have start == stop for one point, "
+                                 f"got {text}")
             return np.array([start])
         vals = np.linspace(start, stop, count)
     elif "," in text:
-        vals = np.array([_grid_value(v) for v in text.split(",")])
+        vals = np.array([_number(v) for v in text.split(",")])
     else:
-        return np.array([_grid_value(text)])
+        return np.array([_number(text)])
     if np.any(np.diff(vals) <= 0):
-        raise ValueError(f"grid {text!r} is not strictly increasing")
+        raise ValueError(f"must be strictly increasing, got {text}")
     return vals
+
+
+def _write_text(text: str, output: str | None) -> None:
+    """Write ``text`` to stdout, or atomically to the file ``output``."""
+    if output is None:
+        sys.stdout.write(text)
+        return
+    out_dir = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir} does not exist")
+    # write a sibling temporary file and rename it over the target, so a
+    # failed write never leaves a truncated output behind
+    tmp = os.path.join(out_dir, f".{os.path.basename(output)}."
+                                f"{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, output)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_output(cfg: RunConfig, rows) -> None:
@@ -129,24 +167,7 @@ def write_output(cfg: RunConfig, rows) -> None:
             "rows": [[fmt(v) for v in row] for row in rows],
         }
         text = json.dumps(doc, indent=1) + "\n"
-    if cfg.output is None:
-        sys.stdout.write(text)
-        return
-    out_dir = os.path.dirname(os.path.abspath(cfg.output))
-    if not os.path.isdir(out_dir):
-        raise ValueError(f"output directory {out_dir} does not exist")
-    # write a sibling temporary file and rename it over the target, so a
-    # failed write never leaves a truncated output behind
-    tmp = os.path.join(out_dir, f".{os.path.basename(cfg.output)}."
-                                f"{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, cfg.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    _write_text(text, cfg.output)
 
 
 def read_header(path: str) -> RunConfig:
@@ -175,11 +196,12 @@ def read_header(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (columns, rows, summary) for the data file,
+# except verify, which writes its own report
 # ---------------------------------------------------------------------------
 
 
-def _cmd_phase_diagram(args) -> int:
+def _cmd_phase_diagram(args):
     from . import steadystate
 
     rows = steadystate.grid_observables(
@@ -188,135 +210,79 @@ def _cmd_phase_diagram(args) -> int:
     columns = ["mu", "delta", "density"]
     if steadystate.has_correlations(args.L, args.bc):
         columns += ["anomalous_nn_abs", "normal_2_abs"]
-    cfg = RunConfig(
-        command="phase-diagram",
-        flags={"L": args.L, "bc": args.bc, "kappa": args.kappa,
-               "e_c": args.e_c, "mu": args.mu, "delta": args.delta},
-        columns=columns,
-        output=args.output, fmt=args.format,
-    )
-    write_output(cfg, rows)
-    return EXIT_OK
+    return columns, rows, {}
 
 
-def _cmd_free_energy(args) -> int:
+def _cmd_free_energy(args):
     from . import thermo
 
     prof = thermo.profile(args.mu, args.kappa, args.delta, args.mode,
                           args.grid_size)
-    cfg = RunConfig(
-        command="free-energy",
-        flags={"mu": args.mu, "kappa": args.kappa, "delta": args.delta,
-               "mode": args.mode, "grid_size": args.grid_size},
-        columns=["rho", "q"],
-        output=args.output, fmt=args.format,
-    )
-    cfg.summary["rho_min"] = prof.rho_min
-    if prof.rho_low is not None:
-        cfg.summary["rho_low"] = prof.rho_low
-    if prof.rho_high is not None:
-        cfg.summary["rho_high"] = prof.rho_high
-    if prof.delta_q_min is not None:
-        cfg.summary["delta_q_min"] = prof.delta_q_min
-    cfg.summary["density"] = thermo.density_thermo(prof)
-    write_output(cfg, zip(prof.rho, prof.q))
-    return EXIT_OK
+    summary = {"rho_min": prof.rho_min}
+    for key in ("rho_low", "rho_high", "delta_q_min"):
+        if getattr(prof, key) is not None:
+            summary[key] = getattr(prof, key)
+    summary["density"] = thermo.density_thermo(prof)
+    return ["rho", "q"], zip(prof.rho, prof.q), summary
 
 
-def _cmd_critical_line(args) -> int:
+def _cmd_critical_line(args):
     from . import thermo
 
+    if args.mode is None:  # resolved here, so the header records it
+        args.mode = "weak" if args.kappa <= 1e-6 else "full"
     mus = parse_grid(args.mu)
     rows = list(zip(mus, thermo.critical_delta(
         mus, kappa=args.kappa, mode=args.mode, tol=args.tol)))
-    cfg = RunConfig(
-        command="critical-line",
-        flags={"mu": args.mu, "kappa": args.kappa, "mode": args.mode,
-               "tol": args.tol},
-        columns=["mu", "delta_crit"],
-        output=args.output, fmt=args.format,
-    )
-    if len(rows) == 1:
-        cfg.summary["delta_crit"] = rows[0][1]
-    write_output(cfg, rows)
-    return EXIT_OK
+    summary = {"delta_crit": rows[0][1]} if len(rows) == 1 else {}
+    return ["mu", "delta_crit"], rows, summary
 
 
-def _cmd_mean_field(args) -> int:
+def _cmd_mean_field(args):
     from . import meanfield
 
-    mus = parse_grid(args.mu)
     rows = []
-    for mu in mus:
+    for mu in parse_grid(args.mu):
         r = meanfield.solve_roots(mu, args.delta, args.e_c, args.kappa)
         padded = list(r.roots) + [float("nan")] * (3 - r.count)
         rows.append((mu, r.count, *padded[:3]))
-    cfg = RunConfig(
-        command="mean-field",
-        flags={"mu": args.mu, "delta": args.delta, "e_c": args.e_c,
-               "kappa": args.kappa, "maxwell": args.maxwell},
-        columns=["mu", "n_roots", "root_low", "root_mid", "root_high"],
-        output=args.output, fmt=args.format,
-    )
+    summary = {}
     if args.maxwell:
-        cfg.summary["maxwell_mu"] = meanfield.maxwell_transition(
+        summary["maxwell_mu"] = meanfield.maxwell_transition(
             args.delta, args.e_c, args.kappa)
-    write_output(cfg, rows)
-    return EXIT_OK
+    columns = ["mu", "n_roots", "root_low", "root_mid", "root_high"]
+    return columns, rows, summary
 
 
-def _cmd_tfim(args) -> int:
+def _cmd_tfim(args):
     from . import pseudospin
 
-    p = validate_params(ModelParams(L=args.L, bc="pbc", mu=args.mu,
-                                    delta=args.delta, e_c=args.e_c,
-                                    kappa=args.kappa))
+    p = ModelParams(L=args.L, bc="pbc", mu=args.mu, delta=args.delta,
+                    e_c=args.e_c, kappa=args.kappa)
     f, s = pseudospin.integrate_moments(
         [pseudospin.vacuum_state(args.L, kind)
          for kind in (pseudospin.FERMION, pseudospin.SPIN)], p,
         args.t_final, args.dt, n_samples=args.samples)
     diff = np.maximum(np.abs(f.s_minus - s.s_minus).max(axis=1),
                       np.abs(f.s_z - s.s_z).max(axis=1))
-    rows = zip(f.times, diff, f.nbar, s.nbar)
-    cfg = RunConfig(
-        command="tfim",
-        flags={"L": args.L, "mu": args.mu, "delta": args.delta,
-               "e_c": args.e_c, "kappa": args.kappa,
-               "t_final": args.t_final, "dt": args.dt,
-               "samples": args.samples},
-        columns=["time", "max_moment_diff", "nbar_fermion", "nbar_spin"],
-        output=args.output, fmt=args.format,
-    )
-    write_output(cfg, rows)
-    return EXIT_OK
+    return (["time", "max_moment_diff", "nbar_fermion", "nbar_spin"],
+            zip(f.times, diff, f.nbar, s.nbar), {})
 
 
-def _cmd_htrs(args) -> int:
+def _cmd_htrs(args):
     from . import fock
 
-    p = validate_params(ModelParams(L=args.L, bc="pbc", mu=args.mu,
-                                    delta=args.delta, e_c=args.e_c,
-                                    kappa=args.kappa))
     times = np.linspace(0.0, args.t_final, args.samples)
-    gammas = parse_grid(args.gamma_p) if args.gamma_p else np.array([0.0])
-    ops, H = fock._single_system(p)
+    ops, H = fock._single_system(ModelParams(
+        L=args.L, bc="pbc", mu=args.mu, delta=args.delta, e_c=args.e_c,
+        kappa=args.kappa))
     rows = []
-    for g in gammas:
-        pt = fock.htrs_point(ops, H, p.kappa, float(g), times)
+    for g in parse_grid(args.gamma_p):
+        pt = fock.htrs_point(ops, H, args.kappa, float(g), times)
         for t, a, b in zip(times, pt.forward.values, pt.reversed.values):
             rows.append((g, t, a.real, a.imag, b.real, b.imag, abs(a + b)))
-    cfg = RunConfig(
-        command="htrs",
-        flags={"L": args.L, "mu": args.mu, "delta": args.delta,
-               "e_c": args.e_c, "kappa": args.kappa,
-               "gamma_p": args.gamma_p, "t_final": args.t_final,
-               "samples": args.samples},
-        columns=["gamma_p", "time", "re_forward", "im_forward",
-                 "re_reversed", "im_reversed", "abs_sum"],
-        output=args.output, fmt=args.format,
-    )
-    write_output(cfg, rows)
-    return EXIT_OK
+    return (["gamma_p", "time", "re_forward", "im_forward", "re_reversed",
+             "im_reversed", "abs_sum"], rows, {})
 
 
 def _cmd_verify(args) -> int:
@@ -358,44 +324,140 @@ def _cmd_verify(args) -> int:
     closed = (steadystate.mean_density(tbl), grid[0][2])
     checks.append(("closed-form density vs Fock L=6",
                    all(abs(dens - d) < 1e-9 for d in closed)))
-    ok = all(flag for _, flag in checks)
-    for name, flag in checks:
-        print(("ok   " if flag else "FAIL ") + name)
-    return EXIT_OK if ok else EXIT_NUMERICAL
+    _write_text("".join(("ok   " if ok else "FAIL ") + name + "\n"
+                        for name, ok in checks), args.output)
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # the default of a flag that must be given
 
+# the test each finite value must pass, keyed by how --help states it
+DOMAINS = {
+    "finite": lambda v: True,
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    ">= 2": lambda v: v >= 2,
+    ">= 1000": lambda v: v >= 1000,
+    "in (0, 1/2)": lambda v: 0 < v < 0.5,
+}
+
+
+@dataclass
+class Flag:
+    """``--name`` (with dashes for underscores) of one command.
+
+    ``kind`` is "int", "float", "grid", "bool" or a tuple of choices; every
+    value of an int, float or grid flag must lie in ``domain``.
+    """
+
+    name: str
+    kind: str | tuple
+    default: object
+    domain: str | None
+    help: str
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def parse(self, text: str):
+        """The value of ``text``: a number, or a grid's text, which the
+        header records."""
+        try:
+            vals = (parse_grid(text) if self.kind == "grid"
+                    else [_number(text, self.kind == "int")])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{self.option} {exc}") from None
+        if not all(DOMAINS[self.domain](v) for v in vals):
+            raise argparse.ArgumentTypeError(
+                f"{self.option} must be {self.domain}, got {text}")
+        return text if self.kind == "grid" else vals[0]
+
+
+@dataclass
+class Command:
+    """A command's function, help line and flags in header order; a
+    ``report`` command writes its own text and has no ``--format``."""
+
+    run: object
+    help: str
+    flags: tuple
+    report: bool = False
+
+
+COMMANDS = {
+    "phase-diagram": Command(
+        _cmd_phase_diagram,
+        "density and correlation grids over (mu, delta); density only "
+        "unless the chain is an even ring", (
+            Flag("L", "int", 400, ">= 2", "chain length"),
+            Flag("bc", ("pbc", "obc"), "pbc", None, "boundary condition"),
+            Flag("kappa", "float", 0.01, "> 0", "loss rate"),
+            Flag("e_c", "float", 1.0, "finite", "charging energy"),
+            Flag("mu", "grid", REQUIRED, "finite", "chemical potentials"),
+            Flag("delta", "grid", REQUIRED, ">= 0", "pairing amplitudes"),
+        )),
+    "free-energy": Command(
+        _cmd_free_energy, "effective free energy profile", (
+            Flag("mu", "float", REQUIRED, "finite", "chemical potential"),
+            Flag("kappa", "float", 0.0, ">= 0", "loss rate"),
+            Flag("delta", "float", REQUIRED, ">= 0", "pairing amplitude"),
+            Flag("mode", ("weak", "full"), "weak", None,
+                 "weak- or full-dissipation free energy"),
+            Flag("grid_size", "int", 4096, ">= 1000",
+                 "density grid points scanned for wells"),
+        )),
+    "critical-line": Command(
+        _cmd_critical_line, "first-order boundary points", (
+            Flag("mu", "grid", REQUIRED, "in (0, 1/2)", "chemical potentials"),
+            Flag("kappa", "float", 0.0, ">= 0", "loss rate"),
+            Flag("mode", ("weak", "full"), None, None,
+                 "weak for kappa <= 1e-6, else full, when not given"),
+            Flag("tol", "float", 1e-6, "> 0", "bisection bracket width"),
+        )),
+    "mean-field": Command(
+        _cmd_mean_field, "self-consistent density roots", (
+            Flag("mu", "grid", REQUIRED, "finite", "chemical potentials"),
+            Flag("delta", "float", REQUIRED, ">= 0", "pairing amplitude"),
+            Flag("e_c", "float", 1.0, "finite", "charging energy"),
+            Flag("kappa", "float", 0.01, ">= 0", "loss rate"),
+            Flag("maxwell", "bool", False, None,
+                 "add the equal-area transition point to the summary"),
+        )),
+    "tfim": Command(
+        _cmd_tfim, "fermion vs spin moment trajectories", (
+            Flag("L", "int", 10, ">= 2", "chain length (even)"),
+            Flag("mu", "float", 0.2, "finite", "chemical potential"),
+            Flag("delta", "float", 0.3, ">= 0", "pairing amplitude"),
+            Flag("e_c", "float", 0.0, "finite", "charging energy"),
+            Flag("kappa", "float", 0.01, "> 0", "loss rate"),
+            Flag("t_final", "float", 500.0, "> 0", "integration time"),
+            Flag("dt", "float", 0.008, "> 0", "RK4 step"),
+            Flag("samples", "int", 251, ">= 2", "recorded time points"),
+        )),
+    "verify": Command(
+        _cmd_verify, "run the small-system oracle checks", (
+            Flag("level", ("quick", "full"), "quick", None,
+                 "full adds two more chains"),
+        ), report=True),
+    "htrs": Command(
+        _cmd_htrs, "forward/reversed two-time correlators", (
+            Flag("L", "int", 6, ">= 2", "chain length"),
+            Flag("mu", "float", 0.2, "finite", "chemical potential"),
+            Flag("delta", "float", 0.15, ">= 0", "pairing amplitude"),
+            Flag("e_c", "float", 1.0, "finite", "charging energy"),
+            Flag("kappa", "float", 0.01, "> 0", "loss rate"),
+            Flag("gamma_p", "grid", "0", ">= 0", "pump rates, e.g. 0,0.001"),
+            Flag("t_final", "float", 400.0, "> 0", "last time of the grid"),
+            Flag("samples", "int", 201, ">= 2", "time points in [0, t_final]"),
+        )),
+}
+
+# a value such as "-0.1,0.2" or "-1:1:5" is a negative grid, not a flag;
+# argparse by default only lets plain negative numbers through
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
-
-
-def _positive_finite_float(text: str) -> float:
-    val = float(text)
-    if not 0.0 < val < math.inf:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
-    return val
-
-
-def _non_negative_finite_float(text: str) -> float:
-    val = float(text)
-    if not 0.0 <= val < math.inf:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be >= 0 and finite, got {text}")
-    return val
-
-
-def _finite_float(text: str) -> float:
-    val = float(text)
-    if not math.isfinite(val):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return val
-
-
-def _sample_count(text: str) -> int:
-    val = int(text)
-    if val < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text}")
-    return val
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,96 +470,25 @@ def build_parser() -> argparse.ArgumentParser:
                "command and listed in the '# columns' header line.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        # a value such as "-0.1,0.2" or "-1:1:5" is a negative grid, not a
-        # flag; argparse by default only lets plain negative numbers through
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p._negative_number_matcher = _NEGATIVE_VALUE
+        for f in cmd.flags:
+            if f.kind == "bool":
+                p.add_argument(f.option, action="store_true", help=f.help)
+            elif isinstance(f.kind, tuple):
+                p.add_argument(f.option, choices=f.kind, default=f.default,
+                               help=f.help)
+            else:
+                p.add_argument(f.option, type=f.parse, default=f.default,
+                               required=f.default is REQUIRED,
+                               help=f"{f.help} [{f.kind}, {f.domain}]")
         p.add_argument("--output", default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    pd = sub.add_parser("phase-diagram",
-                        help="density and correlation grids over (mu, delta); "
-                             "density only unless the chain is an even ring")
-    pd.add_argument("--L", type=int, default=400)
-    pd.add_argument("--bc", choices=("pbc", "obc"), default="pbc")
-    pd.add_argument("--kappa", type=float, default=0.01)
-    pd.add_argument("--e-c", dest="e_c", type=float, default=1.0)
-    pd.add_argument("--mu", required=True, help="grid over mu")
-    pd.add_argument("--delta", required=True, help="grid over delta")
-    common(pd)
-
-    fe = sub.add_parser("free-energy", help="effective free energy profile")
-    fe.add_argument("--mu", type=float, required=True)
-    fe.add_argument("--delta", type=float, required=True)
-    fe.add_argument("--kappa", type=_non_negative_finite_float, default=0.0)
-    fe.add_argument("--mode", choices=("weak", "full"), default="weak")
-    fe.add_argument("--grid-size", dest="grid_size", type=int, default=4096)
-    common(fe)
-
-    cl = sub.add_parser("critical-line", help="first-order boundary points")
-    cl.add_argument("--mu", required=True, help="grid over mu in (0, 1/2)")
-    cl.add_argument("--kappa", type=_non_negative_finite_float, default=0.0,
-                    help=">= 0 and finite")
-    cl.add_argument("--mode", choices=("weak", "full"), default=None,
-                    help="default: weak for kappa<=1e-6, else full")
-    cl.add_argument("--tol", type=_positive_finite_float, default=1e-6,
-                    help="bisection bracket width, > 0 and finite")
-    common(cl)
-
-    mfp = sub.add_parser("mean-field", help="self-consistent density roots")
-    mfp.add_argument("--mu", required=True, help="grid over mu")
-    mfp.add_argument("--delta", type=_non_negative_finite_float,
-                     required=True, help=">= 0 and finite")
-    mfp.add_argument("--e-c", dest="e_c", type=_finite_float, default=1.0,
-                     help="finite")
-    mfp.add_argument("--kappa", type=_non_negative_finite_float,
-                     default=0.01, help=">= 0 and finite")
-    mfp.add_argument("--maxwell", action="store_true",
-                     help="add the equal-area transition point to the summary")
-    common(mfp)
-
-    tf = sub.add_parser("tfim", help="fermion vs spin moment trajectories")
-    tf.add_argument("--L", type=int, default=10)
-    tf.add_argument("--mu", type=float, default=0.2)
-    tf.add_argument("--delta", type=float, default=0.3)
-    tf.add_argument("--e-c", dest="e_c", type=float, default=0.0)
-    tf.add_argument("--kappa", type=float, default=0.01)
-    tf.add_argument("--t-final", dest="t_final", type=float, default=500.0)
-    tf.add_argument("--dt", type=float, default=0.008)
-    tf.add_argument("--samples", type=int, default=251)
-    common(tf)
-
-    vf = sub.add_parser("verify", help="run the small-system oracle checks")
-    vf.add_argument("--level", choices=("quick", "full"), default="quick")
-    common(vf)
-
-    ht = sub.add_parser("htrs", help="forward/reversed two-time correlators")
-    ht.add_argument("--L", type=int, default=6)
-    ht.add_argument("--mu", type=float, default=0.2)
-    ht.add_argument("--delta", type=float, default=0.15)
-    ht.add_argument("--e-c", dest="e_c", type=float, default=1.0)
-    ht.add_argument("--kappa", type=float, default=0.01)
-    ht.add_argument("--gamma-p", dest="gamma_p", default="0",
-                    help="pump rates, e.g. 0,0.001")
-    ht.add_argument("--t-final", dest="t_final", type=_positive_finite_float,
-                    default=400.0, help="last time of the grid, > 0")
-    ht.add_argument("--samples", type=_sample_count, default=201,
-                    help="time points from 0 to --t-final, >= 2")
-    common(ht)
+        if not cmd.report:
+            p.add_argument("--format", choices=("csv", "json"),
+                           default="csv")
     return ap
-
-
-_COMMANDS = {
-    "phase-diagram": _cmd_phase_diagram,
-    "free-energy": _cmd_free_energy,
-    "critical-line": _cmd_critical_line,
-    "mean-field": _cmd_mean_field,
-    "tfim": _cmd_tfim,
-    "verify": _cmd_verify,
-    "htrs": _cmd_htrs,
-}
 
 
 def main(argv=None) -> int:
@@ -506,10 +497,17 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for bad flags already
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "critical-line" and args.mode is None:
-        args.mode = "weak" if args.kappa <= 1e-6 else "full"
+    cmd = COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if cmd.report:
+            return cmd.run(args)
+        columns, rows, summary = cmd.run(args)
+        write_output(RunConfig(
+            command=args.command,
+            flags={f.name: getattr(args, f.name) for f in cmd.flags},
+            columns=columns, output=args.output, fmt=args.format,
+            summary=summary), rows)
+        return EXIT_OK
     except (DegenerateKernelError, NoBistableWindowError,
             IterationLimitError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)

@@ -23,10 +23,15 @@ from .errors import (
     DegenerateKernelError,
     DimensionMismatchError,
     OddParityStateError,
+    TooLargeError,
     TooManyModesError,
 )
 
 MAX_MODES = 16
+# largest Liouvillian dimension (4^L for L modes).  On a 2-core x86 VM the
+# default htrs run (two pump rates, 201 times) took 111 s and a 244 MB peak
+# at L = 8 (65536); at L = 9 one 2-point run had not finished after 60 s.
+MAX_LIOUVILLIAN_DIM = 4 ** 8
 
 
 def _popcounts(dim: int) -> np.ndarray:
@@ -200,9 +205,13 @@ def build_liouvillian(H: FockOperator, jumps: list[FockOperator],
 
     Row-stacked vectorization: vec(A rho B) = (A kron B^T) vec(rho).  The
     Jordan-Wigner matrices already carry every fermionic sign, so no extra
-    superoperator bookkeeping is required.
+    superoperator bookkeeping is required.  Raises TooLargeError, before
+    allocating, above MAX_LIOUVILLIAN_DIM.
     """
     dim = H.dim
+    if dim * dim > MAX_LIOUVILLIAN_DIM:
+        raise TooLargeError(f"Liouvillian dimension {dim * dim} exceeds the "
+                            f"cap of {MAX_LIOUVILLIAN_DIM}")
     if np.isscalar(rates):
         rates = [rates] * len(jumps)
     if len(rates) != len(jumps):
@@ -667,8 +676,9 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
     at least one absorber observable must.
     """
     p = validate_params(params)
-    if 2 * p.L > 12:
-        raise TooManyModesError("nonreciprocity check capped at 12 total modes")
+    if 4 ** (2 * p.L) > MAX_LIOUVILLIAN_DIM:
+        raise TooManyModesError(f"nonreciprocity check on {2 * p.L} modes "
+                                f"exceeds the Liouvillian cap")
     if times is None:
         times = np.linspace(0.0, 5.0 / p.kappa, 11)
     base = build_doubled_system(p)

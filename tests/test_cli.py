@@ -1,11 +1,13 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from cqa_fermi import cli, meanfield, steadystate, thermo
+from cqa_fermi import cli, fock, meanfield, steadystate, thermo
 from cqa_fermi.core import ModelParams
+from cqa_fermi.errors import OddPbcLengthWarning
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -199,6 +201,29 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines and all(l.startswith("ok") for l in lines)
 
+    def test_verify_writes_its_report_to_output(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert run(["verify", "--level", "full", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        pinned = DATA.parent.parent / "perfbench" / "reference" / "oracle"
+        assert out.read_text() == (pinned / "0.txt").read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["v.txt"]
+
+    def test_verify_has_no_format_flag(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--format", "json",
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_odd_ring_htrs_warns_once(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["htrs", "--L", "3", "--t-final", "2", "--samples",
+                        "3", "--output", str(tmp_path / "ht.csv")]) == 0
+        assert [w.category for w in caught
+                if issubclass(w.category, OddPbcLengthWarning)] == [
+            OddPbcLengthWarning]
+
 
 class TestExitCodes:
     def test_missing_output_directory(self, tmp_path):
@@ -320,6 +345,17 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_VALIDATION
         assert run(argv) == cli.EXIT_VALIDATION
 
+    def test_htrs_liouvillian_cap(self, monkeypatch, tmp_path, capsys):
+        # the cap is lowered, so a broken guard builds only a small system
+        monkeypatch.setattr(fock, "MAX_LIOUVILLIAN_DIM", 4 ** 3)
+        out = tmp_path / "ht.csv"
+        assert run(["htrs", "--L", "4", "--t-final", "2", "--samples", "3",
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "exceeds the cap of 64" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["htrs", "--L", "3", "--t-final", "2", "--samples", "3",
+                    "--output", str(out)]) == cli.EXIT_OK
+
     def test_jobs_flag_rejected(self):
         assert run(["phase-diagram", "--L", "20", "--mu", "0.1",
                     "--delta", "0.02", "--jobs", "2"]) == cli.EXIT_VALIDATION
@@ -345,6 +381,58 @@ def test_tiny_tol_stops_at_float_resolution(tmp_path):
     cfg = cli.read_header(str(out))
     assert float(cfg.summary["delta_crit"]) == pytest.approx(0.021226,
                                                              abs=2e-4)
+
+
+# one value outside each domain; the non-finite values are tried on every flag
+OUT_OF_DOMAIN = {"finite": None, ">= 0": "-0.001", "> 0": "0", ">= 2": "1",
+                 ">= 1000": "999", "in (0, 1/2)": "0.5"}
+# valid values of each command's required flags
+REQUIRED_ARGS = {
+    "phase-diagram": ["--mu", "0.1", "--delta", "0.05"],
+    "free-energy": ["--mu", "0.2", "--delta", "0.021"],
+    "critical-line": ["--mu", "0.2"],
+    "mean-field": ["--mu", "0.2", "--delta", "0.05"],
+}
+
+
+def _table_flags(with_domain_only=False):
+    return [pytest.param(name, flag, id=f"{name}{flag.option}")
+            for name, cmd in cli.COMMANDS.items() for flag in cmd.flags
+            if flag.domain is not None or not with_domain_only]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command,flag", _table_flags(True))
+    def test_every_flag_rejects_values_outside_its_domain(
+            self, tmp_path, capsys, command, flag):
+        out = tmp_path / "x.out"
+        bad = ["nan", "inf", "-inf"]
+        if OUT_OF_DOMAIN[flag.domain] is not None:
+            bad.append(OUT_OF_DOMAIN[flag.domain])
+        for value in bad:
+            argv = [command, *REQUIRED_ARGS.get(command, []),
+                    f"{flag.option}={value}", "--output", str(out)]
+            assert run(argv) == cli.EXIT_VALIDATION, argv
+            err = capsys.readouterr().err
+            assert f"{flag.option} must be " in err, (argv, err)
+            assert not out.exists(), argv
+
+    @pytest.mark.parametrize("command,flag", _table_flags())
+    def test_every_flag_kind_and_default(self, command, flag):
+        numeric = flag.kind in ("int", "float", "grid")
+        assert numeric == (flag.domain is not None)
+        if numeric and flag.default is not cli.REQUIRED:
+            # argparse does not pass a non-string default through the parser
+            assert flag.parse(str(flag.default)) == flag.default
+
+    @pytest.mark.parametrize("command", [[], *([c] for c in cli.COMMANDS)])
+    def test_help_renders_and_names_every_domain(self, capsys, command):
+        assert run([*command, "--help"]) == cli.EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in cli.COMMANDS[command[0]].flags if command else ():
+            assert flag.option in text
+            if flag.domain is not None:
+                assert f"[{flag.kind}, {flag.domain}]" in text
 
 
 class TestWriteOutput:

@@ -17,6 +17,7 @@ from cqa_fermi.errors import (
     DegenerateKernelError,
     DimensionMismatchError,
     OddParityStateError,
+    TooLargeError,
     TooManyModesError,
 )
 from cqa_fermi.combinatorics import count_obc, count_pbc
@@ -203,6 +204,16 @@ class TestLiouvillian:
         H = fock.build_hamiltonian(np.zeros((2, 2)), 0.0, 0.0, ops)
         with pytest.raises(DimensionMismatchError):
             fock.build_liouvillian(H, ops, [0.1])
+
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(fock, "MAX_LIOUVILLIAN_DIM", 4 ** 3)
+        ops = fock.build_operators(3)
+        H = fock.build_hamiltonian(np.zeros((3, 3)), 0.2, 0.0, ops)
+        assert fock.build_liouvillian(H, ops, 0.1).dim == 4 ** 3
+        ops = fock.build_operators(4)
+        H = fock.build_hamiltonian(np.zeros((4, 4)), 0.2, 0.0, ops)
+        with pytest.raises(TooLargeError, match="exceeds the cap of 64"):
+            fock.build_liouvillian(H, ops, 0.1)
 
 
 class TestSteadyState:
