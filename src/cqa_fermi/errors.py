@@ -18,7 +18,8 @@ class OutOfRangeError(CqaFermiError, ValueError):
 
 
 class TooLargeError(CqaFermiError, ValueError):
-    """Brute-force enumeration requested beyond the combinatorial guard."""
+    """Requested work beyond a size guard (dimer enumeration, Liouvillian
+    dimension, RK4 step count)."""
 
 
 class BoundaryUnsupportedError(CqaFermiError, ValueError):

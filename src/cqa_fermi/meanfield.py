@@ -9,12 +9,23 @@ which is exact at e_c = 0.  Clearing the radicals gives a quartic whose
 roots are filtered against the un-squared equation (the quartic admits
 spurious sign branches).  The equal-area construction for the would-be
 transition point is performed in the (mu, nbar) plane using the closed-form
-inverse mu(nbar); it brackets but does not reproduce the true transition.
+inverse
+
+    mu(nbar) = e_c nbar + sqrt(max(g, 0)),
+    g = delta^2 (1 - 2 nbar)^2 / (nbar (1 - nbar)) - kappa^2 / 4;
+
+it brackets but does not reproduce the true transition.  The area's linear
+part is exact.  Its root part is a fixed 16-node Gauss-Legendre rule on at
+most 13 panels, after substitutions that make the integrand smooth (see
+``_root_area``); it is within 1e-15 absolute of a 40-digit quadrature
+(at most 1.4e-16 measured) and needs numpy only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +35,10 @@ RESIDUAL_TOL = 1e-12
 # far above the ~60 halvings that take a bracket to float resolution, where
 # the equal-area bisection stops on its own
 MAX_BISECTIONS = 200
+# Gauss-Legendre nodes per panel of the equal-area rule, and the number of
+# times its panels are halved toward the square-root end (see _root_area)
+GAUSS_NODES = 16
+GAUSS_HALVINGS = 12
 
 
 def self_consistency_residual(nbar: float, mu: float, delta: float,
@@ -136,25 +151,51 @@ def bistable_region(mu_grid, delta_grid, e_c: float, kappa: float) -> np.ndarray
     return out
 
 
-def _mu_of_nbar(nbar, delta, e_c, kappa):
-    """Closed-form inverse on the S-curve branch, mu = e_c n + sqrt(g)."""
-    g = delta**2 * (1.0 - 2.0 * nbar) ** 2 / (nbar * (1.0 - nbar)) - 0.25 * kappa**2
-    return e_c * nbar + np.sqrt(np.maximum(g, 0.0))
-
-
 def _fold_window(delta, e_c, kappa, mu_lo=-0.05, mu_hi=0.65, samples=600):
-    mus = np.linspace(mu_lo, mu_hi, samples)
-    counts = np.array(
-        [solve_roots(m, delta, e_c, kappa).count for m in mus]
-    )
-    idx = np.nonzero(counts == 3)[0]
+    """[lo, hi] of the three-root window, from a scan of ``samples`` mus
+    on [mu_lo, mu_hi] refined by bisection on the root count.
+
+    A window that the scan misses or that reaches an end of the range is
+    rescanned on the range widened to :func:`_fold_reach`, which holds
+    every fold.
+    """
+    mus, idx = _three_root_samples(delta, e_c, kappa, mu_lo, mu_hi, samples)
+    if idx.size == 0 or idx[0] == 0 or idx[-1] == samples - 1:
+        edge = math.copysign(_fold_reach(delta, e_c), e_c)
+        lo, hi = min(mu_lo, edge), max(mu_hi, edge)
+        if (lo, hi) != (mu_lo, mu_hi):
+            mus, idx = _three_root_samples(delta, e_c, kappa, lo, hi, samples)
     if idx.size == 0:
         raise NoBistableWindowError(
             f"no three-root window for delta={delta}, kappa={kappa}"
         )
+    if idx[0] == 0 or idx[-1] == samples - 1:
+        raise NoBistableWindowError(
+            f"three-root window reaches mu={mus[0]!r} or {mus[-1]!r}, "
+            f"the ends of the widest scan"
+        )
     lo = _bisect_count_edge(mus[idx[0] - 1], mus[idx[0]], delta, e_c, kappa)
     hi = _bisect_count_edge(mus[idx[-1] + 1], mus[idx[-1]], delta, e_c, kappa)
     return lo, hi
+
+
+def _three_root_samples(delta, e_c, kappa, mu_lo, mu_hi, samples):
+    mus = np.linspace(mu_lo, mu_hi, samples)
+    counts = np.array(
+        [solve_roots(m, delta, e_c, kappa).count for m in mus]
+    )
+    return mus, np.nonzero(counts == 3)[0]
+
+
+def _fold_reach(delta, e_c):
+    """Bound on |mu| at every fold of the S-curve mu = e_c n +- sqrt(g).
+
+    With x = n(1 - n) and g = delta^2 (1 - 2n)^2 / x - kappa^2/4, one has
+    sqrt(g) <= delta / sqrt(x) and |d sqrt(g)/dn| >= delta / (2 x^1.5).  A
+    fold needs |d sqrt(g)/dn| = |e_c|, so there sqrt(g) <= cbrt(2 |e_c|
+    delta^2), and the fold lies between 0 and sign(e_c) times this reach.
+    """
+    return 0.5 * abs(e_c) + np.cbrt(2.0 * abs(e_c) * delta**2)
 
 
 def _bisect_count_edge(mu_out, mu_in, delta, e_c, kappa, iters=60):
@@ -167,13 +208,74 @@ def _bisect_count_edge(mu_out, mu_in, delta, e_c, kappa, iters=60):
     return mu_in
 
 
+@cache
+def _gauss_legendre():
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(GAUSS_NODES)
+
+
+def _root_area(n1, n3, delta, kappa):
+    """Integral of sqrt(max(g, 0)) dn over [n1, n3], g as in the module
+    docstring.
+
+    g > 0 exactly for n < n0 = sin^2(theta0/2), theta0 = atan2(2 delta,
+    kappa/2).  Putting n = sin^2(theta/2) and theta = theta0 - u^2 turns the
+    integral into
+
+        sqrt(4 delta^2 + kappa^2/4)
+            * int u sqrt(sin(u^2) sin(2 theta0 - u^2)) du
+
+    over u from sqrt(theta0 - theta3) to sqrt(theta0 - theta1), whose
+    integrand is smooth: the substitution removes both the 1/sqrt(n) growth
+    at n = 0 and the square-root zero at n0.  Its branch points left nearest
+    the path, u = +-i sqrt(pi - 2 theta0), close in on u = 0 as kappa/delta
+    goes to 0, so the fixed Gauss-Legendre rule runs on panels halved
+    GAUSS_HALVINGS times toward the lower end.
+    """
+    theta0 = np.arctan2(2.0 * delta, 0.5 * kappa)
+    u_hi = np.sqrt(max(theta0 - 2.0 * np.arcsin(np.sqrt(n1)), 0.0))
+    u_lo = np.sqrt(max(theta0 - 2.0 * np.arcsin(np.sqrt(n3)), 0.0))
+    if u_hi <= u_lo:
+        return 0.0
+    x, w = _gauss_legendre()
+    edges = u_hi * 0.5 ** np.arange(GAUSS_HALVINGS + 1)
+    edges = np.append(edges[edges > u_lo], u_lo)
+    half = 0.5 * (edges[:-1] - edges[1:])[:, None]
+    u = half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    s = u * u
+    f = u * np.sqrt(np.sin(s) * np.sin(2.0 * theta0 - s))
+    return float(np.hypot(2.0 * delta, 0.5 * kappa) * np.sum(half * w * f))
+
+
+def maxwell_area(mu_star: float, delta: float, e_c: float,
+                 kappa: float) -> float:
+    """Signed area integral(mu(n) - mu*) dn between the outer roots at mu*.
+
+    mu(n) = e_c n + sqrt(max(g, 0)) is the upper branch of the S-curve.
+    The linear part is exact; the root part is ``_root_area``, within 1e-15
+    absolute of a 40-digit quadrature.
+
+    Raises
+    ------
+    NoBistableWindowError
+        If mu* does not have three roots.
+    """
+    r = solve_roots(mu_star, delta, e_c, kappa)
+    if r.count < 3:
+        raise NoBistableWindowError(f"root count collapsed at mu={mu_star}")
+    n1, n3 = r.roots[0], r.roots[2]
+    return ((n3 - n1) * (0.5 * e_c * (n1 + n3) - mu_star)
+            + _root_area(n1, n3, delta, kappa))
+
+
 def maxwell_transition(delta: float, e_c: float, kappa: float,
                        tol: float = 1e-8) -> float:
     """Equal-area transition point mu* of the mean-field S-curve.
 
-    Bisects on the signed area integral(mu(n) - mu*) dn between the outer
-    roots at mu*, following the multivalued branch through the fold region,
-    until the bracket is narrower than ``tol`` (> 0) or at float resolution.
+    Bisects on the sign of :func:`maxwell_area` inside the fold window
+    until the bracket is narrower than ``tol`` (> 0) or at float
+    resolution.
 
     Raises
     ------
@@ -182,24 +284,12 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
     IterationLimitError
         If MAX_BISECTIONS halvings do not finish.
     """
-    from scipy.integrate import quad
-
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     mu_lo, mu_hi = _fold_window(delta, e_c, kappa)
 
     def area(mu_star):
-        r = solve_roots(mu_star, delta, e_c, kappa)
-        if r.count < 3:
-            raise NoBistableWindowError(
-                f"root count collapsed at mu={mu_star}"
-            )
-        n1, n3 = r.roots[0], r.roots[2]
-        val, _ = quad(
-            lambda n: _mu_of_nbar(n, delta, e_c, kappa) - mu_star,
-            n1, n3, limit=200,
-        )
-        return val
+        return maxwell_area(mu_star, delta, e_c, kappa)
 
     # interior endpoints: exactly at a fold the outer roots merge
     eps = 1e-9 * max(1.0, abs(mu_hi - mu_lo))

@@ -29,12 +29,15 @@ import numpy as np
 
 from . import kernels
 from .core import ModelParams, validate_params
-from .errors import InvalidStateError, StepTooLargeError
+from .errors import InvalidStateError, StepTooLargeError, TooLargeError
 
 FERMION = "fermion"
 SPIN = "spin"
 
 BLOCH_TOL = 1e-9
+# most RK4 steps one integration may take: 16x the 62,500 of the longest
+# documented run (t_final = 500 at dt = 0.008)
+MAX_STEPS = 10**6
 
 
 def momentum_grid(L: int) -> np.ndarray:
@@ -163,7 +166,8 @@ def integrate_moments(initial: MomentState | Sequence[MomentState],
     trajectory.  Fixed stepping keeps the fermion/spin comparison curves
     bitwise reproducible across runs, and a batch gives each trajectory
     the same bits as integrating it alone.  ``dt`` must not exceed the
-    accuracy cap 0.01 / max(kappa, |mu|, 4 delta, |e_c|) of any trajectory.
+    accuracy cap 0.01 / max(kappa, |mu|, 4 delta, |e_c|) of any trajectory,
+    and ceil(t_final / dt) must not exceed MAX_STEPS (else TooLargeError).
     """
     single = isinstance(initial, MomentState)
     states = (initial,) if single else tuple(initial)
@@ -178,6 +182,9 @@ def integrate_moments(initial: MomentState | Sequence[MomentState],
         raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    if t_final / dt > MAX_STEPS:
+        raise TooLargeError(f"t_final/dt = {t_final / dt:.3g} RK4 steps "
+                            f"exceed MAX_STEPS = {MAX_STEPS}")
     plist = tuple(validate_params(p) for p in plist)
     L = plist[0].L
     for st, p in zip(states, plist):

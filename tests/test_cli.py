@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqa_fermi import cli, fock, meanfield, steadystate, thermo
+from cqa_fermi import cli, fock, meanfield, pseudospin, steadystate, thermo
 from cqa_fermi.core import ModelParams
 from cqa_fermi.errors import OddPbcLengthWarning
 
@@ -355,6 +355,15 @@ class TestExitCodes:
         assert not out.exists()
         assert run(["htrs", "--L", "3", "--t-final", "2", "--samples", "3",
                     "--output", str(out)]) == cli.EXIT_OK
+
+    def test_tfim_step_count_cap(self, monkeypatch, tmp_path, capsys):
+        # the cap is lowered, so a broken guard runs only a few steps
+        monkeypatch.setattr(pseudospin, "MAX_STEPS", 10)
+        out = tmp_path / "tf.csv"
+        assert run(["tfim", "--L", "4", "--t-final", "0.1", "--dt", "0.001",
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "exceed MAX_STEPS = 10" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_flag_rejected(self):
         assert run(["phase-diagram", "--L", "20", "--mu", "0.1",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cqa_fermi import fock, meanfield as mf, steadystate as ss, thermo
+from cqa_fermi import cli, fock, meanfield as mf, steadystate as ss, thermo
 from cqa_fermi.core import PBC, ModelParams, nearest_neighbor_pairing
 from cqa_fermi.errors import NoBistableWindowError
 
@@ -114,6 +114,100 @@ class TestMaxwell:
         mu_star = mf.maxwell_transition(0.05, 1.0, 0.01, tol=1e-300)
         assert mu_star == pytest.approx(
             mf.maxwell_transition(0.05, 1.0, 0.01), abs=1e-7)
+
+    # recorded with the adaptive scipy quadrature the rule replaced; delta =
+    # 0.05 is also the benchmark's mean-field op
+    @pytest.mark.parametrize("delta,mu_star", [
+        (0.02, 0.16619368033751916),
+        (0.05, 0.2748501445361769),
+        (0.1, 0.37920881023098774),
+    ])
+    def test_bytes_pinned(self, delta, mu_star):
+        assert mf.maxwell_transition(delta, 1.0, 0.01) == mu_star
+
+    @pytest.mark.parametrize("e_c", [1.4, 2.0])
+    def test_window_above_first_scan(self, tmp_path, e_c):
+        # the window runs past mu = 0.65, the top of the first fold scan
+        out = tmp_path / "mf.csv"
+        assert cli.main(["mean-field", "--mu", "0.3", "--delta", "0.05",
+                         "--e-c", str(e_c), "--maxwell",
+                         "--output", str(out)]) == cli.EXIT_OK
+        mu_star = float(cli.read_header(str(out)).summary["maxwell_mu"])
+        lo, hi = mf._fold_window(0.05, e_c, 0.01)
+        assert hi > 0.65
+        assert lo < mu_star < hi
+        assert (mf.maxwell_area(mu_star - 1e-7, 0.05, e_c, 0.01) > 0
+                > mf.maxwell_area(mu_star + 1e-7, 0.05, e_c, 0.01))
+
+    def test_window_below_first_scan(self):
+        # at e_c < 0 the window mirrors to mu < 0, past the bottom -0.05
+        lo, hi = mf._fold_window(0.05, -1.0, 0.01)
+        assert lo < -0.05 and lo < hi < 0
+        assert (lo, hi) == pytest.approx(
+            tuple(-m for m in reversed(mf._fold_window(0.05, 1.0, 0.01))),
+            abs=1e-12)
+
+
+def _mp_area(mu_star, n1, n3, delta, e_c, kappa):
+    """40-digit area integral(e_c n + sqrt(max(g, 0)) - mu*) dn on [n1, n3].
+
+    The root part is cut at n0 and at n1 * 2^k, so that tanh-sinh sees its
+    square-root zero and the 1/sqrt(n) growth near 0 only at panel ends.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        d, k = mp.mpf(delta), mp.mpf(kappa)
+        n1, n3, mu_star = mp.mpf(n1), mp.mpf(n3), mp.mpf(mu_star)
+        n0 = (1 - (k / 2) / mp.sqrt(4 * d**2 + k**2 / 4)) / 2
+        area = e_c * (n3**2 - n1**2) / 2 - mu_star * (n3 - n1)
+        top = min(n3, n0)
+        if top > n1:
+            cuts = [n1]
+            while 2 * cuts[-1] < top:
+                cuts.append(2 * cuts[-1])
+            area += mp.quad(lambda n: mp.sqrt(max(
+                d**2 * (1 - 2 * n) ** 2 / (n * (1 - n)) - k**2 / 4, 0)),
+                cuts + [top])
+        return float(area)
+
+
+# the stated absolute error bound of the equal-area rule
+AREA_TOL = 1e-15
+
+
+class TestEqualAreaRule:
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.01])
+    @pytest.mark.parametrize("delta,e_c", [
+        (0.02, 1.0), (0.05, 1.0), (0.1, 1.0), (0.01, 0.5), (0.05, 2.0),
+    ])
+    def test_area_in_fold_window(self, delta, e_c, kappa):
+        lo, hi = mf._fold_window(delta, e_c, kappa)
+        for mu_star in (lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo)):
+            r = mf.solve_roots(mu_star, delta, e_c, kappa)
+            ref = _mp_area(mu_star, r.roots[0], r.roots[2], delta, e_c,
+                           kappa)
+            assert abs(mf.maxwell_area(mu_star, delta, e_c, kappa)
+                       - ref) < AREA_TOL
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-8, 1e-3, 0.05])
+    @pytest.mark.parametrize("delta", [0.005, 0.05, 0.3])
+    @pytest.mark.parametrize("n1,below_n0", [
+        (1e-10, 0.0),    # small n1, top exactly at n0
+        (1e-4, 1e-9),    # top just below n0
+        (0.01, 1e-4),
+        (0.02, -0.01),   # top above n0: only [n1, n0] counts
+    ])
+    def test_root_area(self, delta, kappa, n1, below_n0):
+        n0 = 0.5 * (1 - 0.5 * kappa / np.hypot(2 * delta, 0.5 * kappa))
+        n3 = min(n0 - below_n0, 0.5)
+        ref = _mp_area(0.0, n1, n3, delta, 0.0, kappa)
+        assert abs(mf._root_area(n1, n3, delta, kappa) - ref) < AREA_TOL
+
+    def test_kappa_zero_closed_form(self):
+        # at kappa = 0 the root part is 2 delta [sqrt(n (1 - n))]
+        n1, n3, delta = 0.01, 0.4, 0.05
+        exact = 2 * delta * (np.sqrt(n3 * (1 - n3)) - np.sqrt(n1 * (1 - n1)))
+        assert abs(mf._root_area(n1, n3, delta, 0.0) - exact) < AREA_TOL
 
 
 def _exact_transition_mu(delta, kappa, lo=0.05, hi=0.49):

@@ -7,7 +7,11 @@ import scipy.sparse.linalg as spla
 
 from cqa_fermi import fock, meanfield as mf, pseudospin as ps
 from cqa_fermi.core import PBC, ModelParams, nearest_neighbor_pairing
-from cqa_fermi.errors import InvalidStateError, StepTooLargeError
+from cqa_fermi.errors import (
+    InvalidStateError,
+    StepTooLargeError,
+    TooLargeError,
+)
 
 PARAMS_INT = ModelParams(L=10, bc=PBC, mu=0.2, delta=0.3, e_c=1.0, kappa=0.01)
 
@@ -95,6 +99,15 @@ class TestIntegration:
         with pytest.raises(StepTooLargeError):
             ps.integrate_moments([ps.vacuum_state(10, ps.FERMION)] * 2,
                                  [PARAMS_INT, fast], 10.0, 0.008)
+
+    def test_step_count_cap(self, monkeypatch):
+        # the cap is lowered, so a broken guard runs only a few steps
+        monkeypatch.setattr(ps, "MAX_STEPS", 125)
+        vac = ps.vacuum_state(10, ps.FERMION)
+        with pytest.raises(TooLargeError, match="MAX_STEPS = 125"):
+            ps.integrate_moments(vac, PARAMS_INT, 1.001, 0.008)
+        traj = ps.integrate_moments(vac, PARAMS_INT, 1.0, 0.008)  # 125 steps
+        assert traj.times[-1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t_final,dt,n_samples", [
         (10.0, 0.0, 11), (10.0, -0.001, 11), (10.0, float("nan"), 11),
