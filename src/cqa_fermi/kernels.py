@@ -7,6 +7,18 @@
 
 Every kernel is plain numpy; ``perfbench/run.py --trace 1`` reports their
 call counts and self times.
+
+Exponentials of log-domain terms go through :func:`exp_span`.  A term
+below ``EXP_FLOOR`` = -746 lies under ln(2**-1075) = -745.133..., so its
+exp rounds to exactly +0.0, and numpy's exp is many times slower per
+entry on such underflows than on ordinary arguments.  ``exp_span``
+exponentiates only the span from the first to the last term that is not
+below the floor (NaN counts as live) and writes +0.0 outside it.  Every
+sum still runs over the full array in the same order, and adding +0.0 at
+the same places in numpy's pairwise tree gives the same bits, so no
+result moves; truncating the sums to the span instead is not
+bit-identical.  Arrays shorter than ``SPAN_MIN_SIZE``, the measured
+break-even of the span search, are exponentiated whole.
 """
 
 from __future__ import annotations
@@ -19,6 +31,36 @@ import numpy as np
 USING_NUMBA = False
 
 NEG_INF = float("-inf")
+# exp(x) is exactly +0.0 for every x < EXP_FLOOR (ln of half the smallest
+# subnormal is -745.1332191019412)
+EXP_FLOOR = -746.0
+# arrays shorter than this are exponentiated whole: the span search's fixed
+# cost outweighs what it saves on them (measured break-even)
+SPAN_MIN_SIZE = 1024
+
+
+def exp_span(x: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+    """out = exp(x), exponentiating only the live span (lo, hi) it returns.
+
+    Every entry outside out[lo:hi] is below ``EXP_FLOOR``, and +0.0 is
+    written there, exactly what exp gives.  An array shorter than
+    ``SPAN_MIN_SIZE`` is exponentiated whole, span (0, n); a longer one
+    with no live entry gets (0, 0).  ``out`` may be ``x``.
+    """
+    n = x.size
+    if n < SPAN_MIN_SIZE:
+        np.exp(x, out=out)
+        return 0, n
+    dead = x < EXP_FLOOR  # false for NaN, so NaN stays live
+    lo = int(dead.argmin())
+    if dead[lo]:
+        out.fill(0.0)
+        return 0, 0
+    hi = n - int(dead[::-1].argmin())
+    np.exp(x[lo:hi], out=out[lo:hi])
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +75,7 @@ def logsumexp_real(log_vals: np.ndarray) -> float:
     if shift == NEG_INF:
         return NEG_INF
     terms = log_vals - shift
-    np.exp(terms, out=terms)
+    exp_span(terms, terms)
     return shift + math.log(float(np.sum(terms)))
 
 
@@ -48,11 +90,19 @@ def logsumexp_complex(log_mag: np.ndarray, phase=None, factor=None):
     shift = float(np.max(log_mag))
     if shift == NEG_INF:
         return NEG_INF, 0.0
-    if factor is None:
-        factor = np.exp(1j * phase)
     terms = log_mag - shift
-    np.exp(terms, out=terms)
-    acc = np.sum(terms * factor)
+    lo, hi = exp_span(terms, terms)
+    if factor is None:
+        factor = np.exp(1j * phase[lo:hi])
+    else:
+        factor = factor[lo:hi]
+    # a dead product is +0.0 here and +-0.0 in the full product (NaN for a
+    # non-finite factor).  Zero summands can change a sum only in the sign
+    # of a zero total, which the phase shows only for a factor -r - 0j;
+    # exp(i phase) of a finite phase is never one.
+    prod = np.zeros(terms.size, dtype=np.complex128)
+    np.multiply(terms[lo:hi], factor, out=prod[lo:hi])
+    acc = np.sum(prod)
     if acc == 0:
         return NEG_INF, 0.0
     return shift + math.log(abs(acc)), math.atan2(acc.imag, acc.real)

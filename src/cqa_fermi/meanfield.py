@@ -275,7 +275,8 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
 
     Bisects on the sign of :func:`maxwell_area` inside the fold window
     until the bracket is narrower than ``tol`` (> 0) or at float
-    resolution.
+    resolution.  At e_c < 0 it returns -maxwell_transition(delta, -e_c,
+    kappa), the mirror image.
 
     Raises
     ------
@@ -286,6 +287,11 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if e_c < 0.0:
+        # (mu, e_c) -> (-mu, -e_c) maps the roots' equation onto itself and
+        # the lower branch, which carries the folds at e_c < 0, onto the
+        # upper one that maxwell_area integrates
+        return -maxwell_transition(delta, -e_c, kappa, tol)
     mu_lo, mu_hi = _fold_window(delta, e_c, kappa)
 
     def area(mu_star):

@@ -166,8 +166,9 @@ def _point_table(p: ModelParams, chain: ChainTables, row: MuRow,
     log_norm = float(kernels.logsumexp_real(weights))
     weights -= log_norm
     with np.errstate(invalid="ignore"):
-        np.exp(weights, out=pn)
-    pn[np.isnan(pn)] = 0.0
+        lo, hi = kernels.exp_span(weights, pn)
+    live = pn[lo:hi]
+    live[np.isnan(live)] = 0.0
     return CoefficientTable(
         params=p,
         n_max=chain.n_max,

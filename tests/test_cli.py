@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cqa_fermi import cli, fock, meanfield, pseudospin, steadystate, thermo
+from cqa_fermi import (cli, fock, kernels, meanfield, pseudospin, steadystate,
+                       thermo)
 from cqa_fermi.core import ModelParams
 from cqa_fermi.errors import OddPbcLengthWarning
 
@@ -91,6 +92,23 @@ class TestCommands:
                     "--mu=-0.1,0.2,0.25,0.35", "--delta", "0,0.02,0.1,0.3",
                     "--output", str(out)]) == 0
         pinned = (DATA / "phase_diagram_L60.csv").read_text()
+        assert normalize(out.read_text()) == normalize(pinned)
+
+    def test_phase_diagram_span_path_pinned(self, tmp_path, monkeypatch):
+        # n_max = 29 stays below the gate of kernels.exp_span; forced onto
+        # its span path, the bytes must not move
+        monkeypatch.setattr(kernels, "SPAN_MIN_SIZE", 0)
+        self.test_phase_diagram_bytes_pinned(tmp_path)
+
+    def test_phase_diagram_above_gate_pinned(self, tmp_path):
+        # recorded before the log-sum-exp kernels skipped underflowing
+        # exps; n_max = 2047 is above the gate, and the grid has dead heads,
+        # dead tails and the one-term vacuum
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--L", "4096", "--kappa", "0.05",
+                    "--mu", "0.1,0.2,0.3", "--delta", "0,0.021,0.1",
+                    "--output", str(out)]) == 0
+        pinned = (DATA / "phase_diagram_L4096.csv").read_text()
         assert normalize(out.read_text()) == normalize(pinned)
 
     @pytest.mark.parametrize("L,bc", [(24, "obc"), (25, "pbc"), (25, "obc")])

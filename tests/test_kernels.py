@@ -112,6 +112,129 @@ class TestLogsumexpComplex:
             assert val == pytest.approx(direct, rel=1e-13)
 
 
+def _plain_logsumexp_real(log_vals):
+    """The full-array formula: exp of every term, then one sum."""
+    if log_vals.size == 0:
+        return -math.inf
+    shift = float(np.max(log_vals))
+    if shift == -math.inf:
+        return -math.inf
+    return shift + math.log(float(np.sum(np.exp(log_vals - shift))))
+
+
+def _plain_logsumexp_complex(log_mag, factor):
+    """The full-array formula: every term times every factor, then one sum."""
+    if log_mag.size == 0:
+        return -math.inf, 0.0
+    shift = float(np.max(log_mag))
+    if shift == -math.inf:
+        return -math.inf, 0.0
+    acc = np.sum(np.exp(log_mag - shift) * factor)
+    if acc == 0:
+        return -math.inf, 0.0
+    return shift + math.log(abs(acc)), math.atan2(acc.imag, acc.real)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# the largest double whose exp is 0.0, its neighbour with a subnormal exp,
+# and the floor of the span with its neighbours
+EDGES = (-745.1332191019412, np.nextafter(-745.1332191019412, 0.0),
+         kernels.EXP_FLOOR, np.nextafter(kernels.EXP_FLOOR, 0.0),
+         np.nextafter(kernels.EXP_FLOOR, -np.inf))
+
+
+def _span_cases(n, rng):
+    """Arrays of n log-terms with max 0.0 and dead runs in various places."""
+    live = np.append(rng.uniform(-745.0, 0.0, n - 1), 0.0)
+    rng.shuffle(live)
+    dead = rng.uniform(-2000.0, -746.5, n)
+    k = n // 3
+    edges = np.resize(np.array(EDGES + (-np.inf, 0.0)), n)
+    rng.shuffle(edges)
+    yield "live", live
+    yield "dead head", np.concatenate([dead[:k], live[k:]])
+    yield "dead tail", np.concatenate([live[:n - k], dead[n - k:]])
+    yield "dead middle", np.concatenate([live[:k], dead[k:n - k],
+                                         live[n - k:]])
+    yield "dead both ends", np.concatenate([dead[:k], live[k:n - k],
+                                            dead[n - k:]])
+    yield "edges", edges
+    with_nan = np.concatenate([dead[:k], live[k:n - k], dead[n - k:]])
+    with_nan[n - k - 1] = np.nan
+    yield "nan", with_nan
+    lone_nan = dead.copy()
+    lone_nan[k] = np.nan
+    lone_nan[n - k - 1] = 0.0
+    yield "nan in dead head", lone_nan
+    with_inf = np.concatenate([dead[:k], live[k:]])
+    with_inf[::7] = -np.inf
+    with_inf[-1] = 0.0
+    yield "-inf", with_inf
+
+
+SIZES = (1, 40, kernels.SPAN_MIN_SIZE - 1, kernels.SPAN_MIN_SIZE,
+         3 * kernels.SPAN_MIN_SIZE + 7)
+
+
+class TestExpSpan:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_full_exp(self, n):
+        rng = np.random.default_rng(n)
+        for name, x in _span_cases(n, rng):
+            want = np.exp(x)
+            out = np.full(n, 7.0)
+            lo, hi = kernels.exp_span(x, out)
+            assert _bits(out) == _bits(want), name
+            assert not (x[:lo] >= kernels.EXP_FLOOR).any()
+            assert not (x[hi:] >= kernels.EXP_FLOOR).any()
+            # in place, as the steady-state table calls it
+            y = x.copy()
+            assert kernels.exp_span(y, y) == (lo, hi)
+            assert _bits(y) == _bits(want), name
+
+    def test_span_skips_dead_ends(self):
+        n = kernels.SPAN_MIN_SIZE
+        x = np.full(n, -800.0)
+        x[100] = np.nan
+        x[200] = -746.0
+        out = np.empty(n)
+        assert kernels.exp_span(x, out) == (100, 201)
+        assert np.isnan(out[100]) and out[200] == 0.0
+        # below the gate every entry is exponentiated
+        assert kernels.exp_span(x[:n - 1], out[:n - 1]) == (0, n - 1)
+
+    @pytest.mark.parametrize("n", [0, 1, kernels.SPAN_MIN_SIZE])
+    def test_all_dead_and_empty(self, n):
+        for x in (np.full(n, -np.inf), np.full(n, -1000.0)):
+            out = np.full(n, 7.0)
+            kernels.exp_span(x, out)
+            assert _bits(out) == _bits(np.zeros(n))
+        if n >= kernels.SPAN_MIN_SIZE:
+            assert kernels.exp_span(x, out) == (0, 0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_logsumexp_real_bits(self, n):
+        rng = np.random.default_rng(100 + n)
+        for name, x in _span_cases(n, rng):
+            got = kernels.logsumexp_real(x)
+            assert _bits(got) == _bits(_plain_logsumexp_real(x)), name
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_logsumexp_complex_bits(self, n):
+        rng = np.random.default_rng(200 + n)
+        for name, x in _span_cases(n, rng):
+            phase = rng.uniform(-np.pi, np.pi, n)
+            phase[::5] = 0.0
+            factor = np.exp(1j * phase)
+            want = _bits(_plain_logsumexp_complex(x, factor))
+            assert _bits(kernels.logsumexp_complex(x, phase)) == want, name
+            assert _bits(kernels.logsumexp_complex(
+                x, factor=factor)) == want, name
+
+
 class TestCoefficientLogs:
     def test_agreement(self):
         args = (math.log(0.021), 0.2, 1e-3, 1.0, 5000.0, 2499)

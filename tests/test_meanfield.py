@@ -147,6 +147,25 @@ class TestMaxwell:
             tuple(-m for m in reversed(mf._fold_window(0.05, 1.0, 0.01))),
             abs=1e-12)
 
+    @pytest.mark.parametrize("e_c,mirror", [
+        (-1.0, 0.2748501445361769),
+        (-2.0, 0.3787117345606608),
+    ])
+    def test_negative_coupling_mirrors(self, e_c, mirror):
+        # (mu, e_c) -> (-mu, -e_c) maps the S-curve onto itself
+        mu_star = mf.maxwell_transition(0.05, e_c, 0.01)
+        assert mu_star == -mirror
+        lo, hi = mf._fold_window(0.05, e_c, 0.01)
+        assert lo < mu_star < hi
+
+    def test_negative_coupling_cli(self, tmp_path):
+        out = tmp_path / "mf.csv"
+        assert cli.main(["mean-field", "--mu=-0.3", "--delta", "0.05",
+                         "--e-c", "-1", "--maxwell",
+                         "--output", str(out)]) == cli.EXIT_OK
+        assert cli.read_header(str(out)).summary["maxwell_mu"] == (
+            "-0.2748501445361769")
+
 
 def _mp_area(mu_star, n1, n3, delta, e_c, kappa):
     """40-digit area integral(e_c n + sqrt(max(g, 0)) - mu*) dn on [n1, n3].

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqa_fermi import meanfield, steadystate as ss
+from cqa_fermi import kernels, meanfield, steadystate as ss
 from cqa_fermi.core import OBC, PBC, ModelParams
 from cqa_fermi.errors import BoundaryUnsupportedError
 from conftest import cqa_state_and_system, dark_pair_operator, fock_expectation
@@ -252,6 +252,31 @@ class TestGridObservables:
         expected = [self.per_point(100_000, PBC, mu, d, 1.0, 1e-8)
                     for mu in mus for d in deltas]
         assert rows == expected
+
+    def test_underflowing_exps_skipped_at_L1e5(self, monkeypatch):
+        # a point of the L = 1e5 benchmark grid: p_n is sharply peaked, and
+        # 3% of the log terms lie above kernels.EXP_FLOOR (near the
+        # transition, mu = 0.2, the span bridges two peaks and holds ~47%).
+        # Counts the real entries that reach np.exp, so a return to
+        # full-array exps, inside exp_span or around it, fails.
+        given, reached = [], []
+        exp, exp_span = np.exp, kernels.exp_span
+
+        def counting_span(x, out):
+            given.append(x.size)
+            return exp_span(x, out)
+
+        def counting_exp(x, *args, **kwargs):
+            if np.isrealobj(x):
+                reached.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "exp_span", counting_span)
+        monkeypatch.setattr(np, "exp", counting_exp)
+        ss.grid_observables(100_000, PBC, [0.3], [0.021], 1.0, 1e-8)
+        # the norm, p_n, the two anomalous sums and the normal sums
+        assert len(given) == 5 and sum(given) > 3 * 50_000
+        assert sum(reached) <= 0.1 * sum(given)
 
     @pytest.mark.parametrize("L,bc", [(2, PBC), (4, PBC), (9, PBC),
                                       (24, OBC), (25, OBC)])
