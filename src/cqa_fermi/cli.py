@@ -299,8 +299,9 @@ def _cmd_verify(args) -> int:
         p = ModelParams(L=L, bc=bc, mu=0.25, delta=0.12, e_c=1.0, kappa=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            psi = fock.build_cqa_state(p)
-            rep = fock.verify_dark_conditions(psi, p)
+            system = fock.build_doubled_system(p)
+            psi = fock.build_cqa_state(system)
+            rep = fock.verify_dark_conditions(psi, system)
             rho_cqa = fock.partial_trace_absorber(psi)
             ops, H = fock._single_system(p)
             liouv = fock.build_liouvillian(H, ops, p.kappa)
@@ -312,11 +313,9 @@ def _cmd_verify(args) -> int:
         ))
     p6 = ModelParams(L=6, bc="pbc", mu=0.23, delta=0.31, e_c=1.0, kappa=0.07)
     tbl = steadystate.build_coefficients(p6)
-    psi = fock.build_cqa_state(p6)
-    dark = fock.build_doubled_system(p6).dark_ops()
-    n_dark = (dark[0].dag() @ dark[0]).matrix
-    for d in dark[1:]:
-        n_dark = n_dark + (d.dag() @ d).matrix
+    system = fock.build_doubled_system(p6)
+    psi = fock.build_cqa_state(system)
+    n_dark = sum(fock.number_operators(system.dark_ops()))
     dens = float(np.vdot(psi, n_dark @ psi).real) / (2 * p6.L)
     # both closed-form routes: one table, and the phase-diagram grid
     grid = steadystate.grid_observables(p6.L, p6.bc, [p6.mu], [p6.delta],

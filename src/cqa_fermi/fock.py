@@ -1,18 +1,20 @@
 """Brute-force Lindblad exact diagonalization in the occupation-number basis.
 
 Everything here is the small-system oracle: Jordan-Wigner fermion operators
-with their sign strings baked into sparse matrices, Hamiltonians with
-arbitrary antisymmetric pairing and a global charging energy, the vectorized
-Liouvillian, steady states, the absorber-doubled pure state and its partial
-trace, two-time correlations via quantum regression, and the nonreciprocity
-checks.  Dimensions are deliberately capped; the closed-form modules are the
+with their sign strings baked into plain scipy CSR matrices, Hamiltonians
+with arbitrary antisymmetric pairing and a global charging energy, the
+vectorized Liouvillian, steady states, the absorber-doubled pure state and
+its partial trace, two-time correlations via quantum regression, and the
+nonreciprocity checks.  Operators carry no parity label: the evolutions
+find the parity-difference half they can stay in from their start vector.
+Dimensions are deliberately capped; the closed-form modules are the
 production path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,78 +40,12 @@ def _popcounts(dim: int) -> np.ndarray:
     return np.bitwise_count(np.arange(dim, dtype=np.uint32)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """A sparse operator on the 2^M-dimensional occupation basis.
-
-    ``parity`` records whether the operator preserves fermion-number parity
-    ("even"), flips it ("odd"), or is not known to do either ("mixed").
-    Products, scalar multiples and sums of like parity derive it from their
-    operands (so a cancelled sum keeps its operands' parity; the zero
-    operator has every parity); only a sum of unlike or mixed parities is
-    classified from its nonzero pattern, where zero counts as even.
-    """
-
-    n_modes: int
-    matrix: sp.csr_matrix
-    parity: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if not self.parity:
-            object.__setattr__(self, "parity", _classify_parity(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(self.n_modes, self.matrix.conj().T.tocsr(), self.parity)
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix @ other.matrix).tocsr(),
-                            _PRODUCT_PARITY.get((self.parity, other.parity),
-                                                "mixed"))
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix + other.matrix).tocsr(),
-                            _sum_parity(self, other))
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.n_modes, (self.matrix - other.matrix).tocsr(),
-                            _sum_parity(self, other))
-
-    def __rmul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.n_modes, (scalar * self.matrix).tocsr(),
-                            self.parity)
+def dag(op: sp.csr_matrix) -> sp.csr_matrix:
+    """Hermitian conjugate of a sparse operator."""
+    return op.conj().T.tocsr()
 
 
-_PRODUCT_PARITY = {
-    ("even", "even"): "even", ("odd", "odd"): "even",
-    ("even", "odd"): "odd", ("odd", "even"): "odd",
-}
-
-
-def _sum_parity(a: FockOperator, b: FockOperator) -> str:
-    # a mixed term can cancel against another, so only like definite
-    # parities carry over; "" makes the result classify itself
-    return a.parity if a.parity == b.parity != "mixed" else ""
-
-
-def _classify_parity(m: sp.spmatrix) -> str:
-    coo = m.tocoo()
-    if coo.nnz == 0:
-        return "even"
-    pr = np.bitwise_count(coo.row.astype(np.uint32)).astype(np.int64) & 1
-    pc = np.bitwise_count(coo.col.astype(np.uint32)).astype(np.int64) & 1
-    same = pr == pc
-    if same.all():
-        return "even"
-    if (~same).all():
-        return "odd"
-    return "mixed"
-
-
-def build_operators(n_modes: int) -> list[FockOperator]:
+def build_operators(n_modes: int) -> list[sp.csr_matrix]:
     """Annihilation operators c_0 .. c_{M-1} with Jordan-Wigner signs.
 
     Basis state k has mode j occupied iff bit j of k is set; the creation
@@ -128,32 +64,29 @@ def build_operators(n_modes: int) -> list[FockOperator]:
         rows = cols ^ bit
         below = np.bitwise_count((cols & (bit - 1)).astype(np.uint32)).astype(np.int64)
         signs = 1.0 - 2.0 * (below & 1)
-        mat = sp.csr_matrix(
+        ops.append(sp.csr_matrix(
             (signs.astype(complex), (rows, cols)), shape=(dim, dim)
-        )
-        ops.append(FockOperator(n_modes, mat, "odd"))
+        ))
     return ops
 
 
-def number_operators(ops: list[FockOperator]) -> list[FockOperator]:
-    return [c.dag() @ c for c in ops]
+def number_operators(ops: list[sp.csr_matrix]) -> list[sp.csr_matrix]:
+    return [dag(c) @ c for c in ops]
 
 
-def total_number(n_modes: int) -> FockOperator:
+def total_number(n_modes: int) -> sp.csr_matrix:
     dim = 1 << n_modes
-    return FockOperator(
-        n_modes, sp.diags(_popcounts(dim).astype(complex)).tocsr(), "even"
-    )
+    return sp.diags(_popcounts(dim).astype(complex)).tocsr()
 
 
-def parity_operator(n_modes: int) -> FockOperator:
+def parity_operator(n_modes: int) -> sp.csr_matrix:
     dim = 1 << n_modes
     signs = 1.0 - 2.0 * (_popcounts(dim) & 1)
-    return FockOperator(n_modes, sp.diags(signs.astype(complex)).tocsr(), "even")
+    return sp.diags(signs.astype(complex)).tocsr()
 
 
 def build_hamiltonian(pairing, mu: float, e_c: float,
-                      ops: list[FockOperator]) -> FockOperator:
+                      ops: list[sp.csr_matrix]) -> sp.csr_matrix:
     """Hermitian matrix of the pairing chain Hamiltonian.
 
     H = -mu * sum_j n_j + e_c/(2M) * (sum_j n_j)^2
@@ -167,15 +100,15 @@ def build_hamiltonian(pairing, mu: float, e_c: float,
     M = len(ops)
     if D.shape != (M, M):
         raise DimensionMismatchError(f"pairing shape {D.shape} vs {M} modes")
-    occ = sum(n.matrix.diagonal().real for n in number_operators(ops))
+    occ = sum(n.diagonal().real for n in number_operators(ops))
     diag = -mu * occ + (e_c / (2.0 * M)) * occ * occ
     H = sp.diags(diag.astype(complex)).tocsr()
     for i in range(M):
         for j in range(i + 1, M):
             if D[i, j] != 0:
-                term = (2.0 * D[i, j]) * (ops[i].dag().matrix @ ops[j].dag().matrix)
+                term = (2.0 * D[i, j]) * (dag(ops[i]) @ dag(ops[j]))
                 H = H + term + term.conj().T
-    return FockOperator(ops[0].n_modes, H.tocsr(), "even")
+    return H.tocsr()
 
 
 @dataclass(frozen=True)
@@ -199,7 +132,7 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape(d, d)
 
 
-def build_liouvillian(H: FockOperator, jumps: list[FockOperator],
+def build_liouvillian(H: sp.csr_matrix, jumps: list[sp.csr_matrix],
                       rates) -> SuperOperator:
     """Sparse matrix of d(rho)/dt = -i[H, rho] + sum_j r_j D[L_j] rho.
 
@@ -208,7 +141,7 @@ def build_liouvillian(H: FockOperator, jumps: list[FockOperator],
     superoperator bookkeeping is required.  Raises TooLargeError, before
     allocating, above MAX_LIOUVILLIAN_DIM.
     """
-    dim = H.dim
+    dim = H.shape[0]
     if dim * dim > MAX_LIOUVILLIAN_DIM:
         raise TooLargeError(f"Liouvillian dimension {dim * dim} exceeds the "
                             f"cap of {MAX_LIOUVILLIAN_DIM}")
@@ -217,12 +150,10 @@ def build_liouvillian(H: FockOperator, jumps: list[FockOperator],
     if len(rates) != len(jumps):
         raise DimensionMismatchError("one rate per jump operator required")
     eye = sp.identity(dim, dtype=complex, format="csr")
-    Hm = H.matrix
-    Lv = -1j * (sp.kron(Hm, eye) - sp.kron(eye, Hm.T))
-    for op, r in zip(jumps, rates):
-        if op.dim != dim:
+    Lv = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    for c, r in zip(jumps, rates):
+        if c.shape[0] != dim:
             raise DimensionMismatchError("jump operator dimension mismatch")
-        c = op.matrix
         cdc = (c.conj().T @ c).tocsr()
         Lv = Lv + r * (
             sp.kron(c, c.conj())
@@ -248,31 +179,25 @@ def smallest_eigenvalues(liouv: SuperOperator, k: int = 4) -> np.ndarray:
     return w[np.argsort(np.abs(w))]
 
 
-def _parity_sector(d: int, odd: bool) -> np.ndarray:
-    """Indices of row-stacked vec(rho), rho d x d, in one parity-difference
-    sector: entries whose row and column parities differ (``odd``) or agree.
-    """
-    par = _popcounts(d) & 1
-    return np.flatnonzero((par[:, None] != par[None, :]).reshape(-1) == odd)
-
-
-def _sector(A, x, odd: bool | None) -> np.ndarray:
+def _sector(A, x) -> np.ndarray:
     """Indices on which exp(A t) x and the kernel iteration from x are exact.
 
-    That is the ``odd`` parity-difference sector when x has exactly zero
-    weight outside it and A has no nonzero coupling it to the other sector
-    (a Liouvillian whose Hamiltonian is even and whose jumps each have a
-    definite parity); otherwise, and for ``odd=None``, every index.
+    The entries of row-stacked vec(rho) split into two parity-difference
+    halves: those whose row and column parities differ, and those whose
+    parities agree.  This returns the half that holds every nonzero entry
+    of x (the even one when x is all zero), provided A has no nonzero
+    coupling it to the other half, as for a Liouvillian whose Hamiltonian
+    is even and whose jumps each have a definite parity; otherwise every
+    index.
     """
     n = A.shape[0]
-    if odd is not None:
-        idx = _parity_sector(math.isqrt(n), odd)
-        inside = np.zeros(n, dtype=bool)
-        inside[idx] = True
-        coo = A.tocoo()
-        if not x[~inside].any() and np.array_equal(inside[coo.row],
-                                                   inside[coo.col]):
-            return idx
+    par = _popcounts(math.isqrt(n)) & 1
+    odd = (par[:, None] != par[None, :]).reshape(-1)
+    inside = odd if x[odd].any() else ~odd
+    coo = A.tocoo()
+    if not x[~inside].any() and np.array_equal(inside[coo.row],
+                                               inside[coo.col]):
+        return np.flatnonzero(inside)
     return np.arange(n)
 
 
@@ -281,9 +206,9 @@ def steady_state(liouv: SuperOperator,
     """Unique density matrix in the Liouvillian kernel.
 
     The iteration starts from the maximally mixed state and runs on the even
-    row/column parity-difference sector, which then holds the kernel
-    exactly, whenever the Liouvillian does not couple it to the odd sector;
-    otherwise it runs on the full vectorized space.  Up to 4096 vectorized
+    row/column parity-difference half, which then holds the kernel exactly,
+    whenever the Liouvillian does not couple it to the odd half; otherwise
+    it runs on the full vectorized space.  Up to 4096 vectorized
     dimensions: shifted inverse iteration on the sparse LU factorization,
     with a spectrum check of the full Liouvillian near zero guarding the
     uniqueness assumption (``degeneracy_check`` defaults to on there).
@@ -309,7 +234,7 @@ def steady_state(liouv: SuperOperator,
                 f"{np.sum(np.abs(w) < 1e-10)} eigenvalues within 1e-10 of zero"
             )
     x0 = vec(np.eye(d, dtype=complex) / d)
-    idx = _sector(A, x0, odd=False)
+    idx = _sector(A, x0)
     As, x = A[idx][:, idx].tocsr(), x0[idx]
     if n > 4096:
         x = _kernel_by_evolution(As, x)
@@ -353,15 +278,14 @@ def _kernel_by_evolution(A, x, target=1e-12, t_stage=250.0, max_stages=14):
     )
 
 
-def _evolve_traces(A, v0, times: np.ndarray, odd: bool | None,
-                   observables) -> np.ndarray:
+def _evolve_traces(A, v0, times: np.ndarray, observables) -> np.ndarray:
     """Tr(O unvec(exp(A t) v0)) for each t of the uniform grid ``times``
     (which starts at 0) and each sparse O, as a (times, observables) array.
 
-    The evolution runs on the sector ``_sector(A, v0, odd)``; each trace is
-    one dot product, Tr(O rho) = vec(O^T) . vec(rho), over that sector.
+    The evolution runs on the indices ``_sector(A, v0)``; each trace is one
+    dot product, Tr(O rho) = vec(O^T) . vec(rho), over them.
     """
-    idx = _sector(A, v0, odd)
+    idx = _sector(A, v0)
     vt = spla.expm_multiply(A[idx][:, idx], v0[idx], start=times[0],
                             stop=times[-1], num=times.size, endpoint=True)
     return vt @ np.stack([vec(o.T.toarray())[idx] for o in observables],
@@ -381,70 +305,67 @@ def _evolve_traces(A, v0, times: np.ndarray, odd: bool | None,
 
 @dataclass(frozen=True)
 class DoubledSystem:
+    """The absorber-doubled system, with the physical block's ``pairing``,
+    ``mu`` and ``e_c``: ``build_cqa_state`` and ``verify_dark_conditions``
+    both read one built system."""
+
     L: int
-    ops: list[FockOperator]          # 2L annihilators, A block then B block
-    hamiltonian: FockOperator        # cascaded composite Hamiltonian
-    jumps: list[FockOperator]        # c_jA - c_jB (rate kappa each)
+    ops: list[sp.csr_matrix]         # 2L annihilators, A block then B block
+    hamiltonian: sp.csr_matrix       # cascaded composite Hamiltonian
+    jumps: list[sp.csr_matrix]       # c_jA - c_jB (rate kappa each)
     kappa: float
+    pairing: PairingMatrix
+    mu: float
+    e_c: float
 
     @property
-    def a_ops(self) -> list[FockOperator]:
+    def a_ops(self) -> list[sp.csr_matrix]:
         return self.ops[: self.L]
 
     @property
-    def b_ops(self) -> list[FockOperator]:
+    def b_ops(self) -> list[sp.csr_matrix]:
         return self.ops[self.L:]
 
-    def dark_ops(self) -> list[FockOperator]:
+    def dark_ops(self) -> list[sp.csr_matrix]:
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        return [
-            FockOperator(2 * self.L,
-                         (inv_sqrt2 * (a.matrix + b.matrix)).tocsr(), "odd")
-            for a, b in zip(self.a_ops, self.b_ops)
-        ]
-
-
-def _resolve_pairing(params_or_pairing, mu, e_c, kappa):
-    if isinstance(params_or_pairing, ModelParams):
-        p = validate_params(params_or_pairing)
-        pm = nearest_neighbor_pairing(p.L, p.delta, p.bc)
-        return pm, p.mu, p.e_c, p.kappa
-    pm = params_or_pairing
-    if not isinstance(pm, PairingMatrix):
-        pm = PairingMatrix.from_entries(pm)
-    if mu is None or e_c is None or kappa is None:
-        raise ValueError("mu, e_c, kappa are required with an explicit pairing matrix")
-    return pm, mu, e_c, kappa
+        return [(inv_sqrt2 * (a + b)).tocsr()
+                for a, b in zip(self.a_ops, self.b_ops)]
 
 
 def build_doubled_system(params_or_pairing, mu=None, e_c=None, kappa=None,
                          absorber_mu=None) -> DoubledSystem:
-    """Cascaded physical block and absorber copy; ``absorber_mu`` detunes
-    the absorber block's chemical potential (default: mu)."""
-    pm, mu, e_c, kappa = _resolve_pairing(params_or_pairing, mu, e_c, kappa)
+    """Cascaded physical block and absorber copy, from ModelParams or from
+    a pairing matrix with explicit ``mu``, ``e_c`` and ``kappa``;
+    ``absorber_mu`` detunes the absorber block's chemical potential
+    (default: mu)."""
+    if isinstance(params_or_pairing, ModelParams):
+        p = validate_params(params_or_pairing)
+        pm = nearest_neighbor_pairing(p.L, p.delta, p.bc)
+        mu, e_c, kappa = p.mu, p.e_c, p.kappa
+    else:
+        pm = params_or_pairing
+        if not isinstance(pm, PairingMatrix):
+            pm = PairingMatrix.from_entries(pm)
+        if mu is None or e_c is None or kappa is None:
+            raise ValueError("mu, e_c, kappa are required with an explicit pairing matrix")
     L = pm.entries.shape[0]
     if 2 * L > MAX_MODES:
         raise TooManyModesError(f"doubled system needs {2 * L} modes (cap {MAX_MODES})")
     ops = build_operators(2 * L)
     a_ops, b_ops = ops[:L], ops[L:]
-    H = (build_hamiltonian(pm, mu, e_c, a_ops).matrix
+    H = (build_hamiltonian(pm, mu, e_c, a_ops)
          - build_hamiltonian(pm, mu if absorber_mu is None else absorber_mu,
-                             e_c, b_ops).matrix)
+                             e_c, b_ops))
     for a, b in zip(a_ops, b_ops):
-        t = a.dag().matrix @ b.matrix
+        t = dag(a) @ b
         H = H + (-0.5j * kappa) * (t - t.conj().T)
-    hamiltonian = FockOperator(2 * L, H.tocsr(), "even")
-    jumps = [
-        FockOperator(2 * L, (a.matrix - b.matrix).tocsr(), "odd")
-        for a, b in zip(a_ops, b_ops)
-    ]
-    return DoubledSystem(L=L, ops=ops, hamiltonian=hamiltonian,
-                         jumps=jumps, kappa=kappa)
+    jumps = [(a - b).tocsr() for a, b in zip(a_ops, b_ops)]
+    return DoubledSystem(L=L, ops=ops, hamiltonian=H.tocsr(), jumps=jumps,
+                         kappa=kappa, pairing=pm, mu=mu, e_c=e_c)
 
 
-def build_cqa_state(params_or_pairing, mu=None, e_c=None, kappa=None,
-                    system: DoubledSystem | None = None) -> np.ndarray:
-    """Normalized pure steady state of the absorber-doubled system.
+def build_cqa_state(system: DoubledSystem) -> np.ndarray:
+    """Normalized pure steady state of the absorber-doubled ``system``.
 
     The state is the power series sum_n (g_n / n!) (P^dag)^n |0> with
     P^dag = sum_{i<j} 2 D_ij c_{i,+}^dag c_{j,+}^dag built from dark modes
@@ -452,20 +373,17 @@ def build_cqa_state(params_or_pairing, mu=None, e_c=None, kappa=None,
     its own when no further pair fits (and at half filling on even rings,
     where the two maximal tilings cancel).
     """
-    if system is None:
-        system = build_doubled_system(params_or_pairing, mu, e_c, kappa)
-    pm, mu, e_c, kappa = _resolve_pairing(params_or_pairing, mu, e_c, kappa)
-    L = system.L
-    mu_tilde = complex(mu, 0.5 * kappa)
+    L, e_c = system.L, system.e_c
+    mu_tilde = complex(system.mu, 0.5 * system.kappa)
     dark = system.dark_ops()
     dim = 1 << (2 * L)
     pair_raise = sp.csr_matrix((dim, dim), dtype=complex)
-    D = pm.entries
+    D = system.pairing.entries
     for i in range(L):
         for j in range(i + 1, L):
             if D[i, j] != 0:
                 pair_raise = pair_raise + (2.0 * D[i, j]) * (
-                    dark[i].dag().matrix @ dark[j].dag().matrix
+                    dag(dark[i]) @ dag(dark[j])
                 )
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
@@ -491,12 +409,11 @@ class DarkReport:
         return max(self.hamiltonian_residual, float(self.jump_residuals.max()))
 
 
-def verify_dark_conditions(state: np.ndarray, params_or_pairing, mu=None,
-                           e_c=None, kappa=None) -> DarkReport:
+def verify_dark_conditions(state: np.ndarray,
+                           system: DoubledSystem) -> DarkReport:
     """Residual norms of H_cqa |psi> and of every collective jump on |psi>."""
-    system = build_doubled_system(params_or_pairing, mu, e_c, kappa)
-    h_res = float(np.linalg.norm(system.hamiltonian.matrix @ state))
-    j_res = np.array([np.linalg.norm(j.matrix @ state) for j in system.jumps])
+    h_res = float(np.linalg.norm(system.hamiltonian @ state))
+    j_res = np.array([np.linalg.norm(j @ state) for j in system.jumps])
     return DarkReport(hamiltonian_residual=h_res, jump_residuals=j_res)
 
 
@@ -536,18 +453,17 @@ class CorrelationSeries:
 
 
 def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
-                         X: FockOperator, Y: FockOperator,
+                         X: sp.csr_matrix, Y: sp.csr_matrix,
                          times: np.ndarray) -> CorrelationSeries:
     """<X(t) Y(0)> on a uniform time grid via quantum regression.
 
     Propagates vec(Y rho_ss) with the error-controlled sparse
     matrix-exponential action and traces against X at each grid point.
-    With rho_ss in the even row/column parity-difference sector (as
-    ``steady_state`` returns it) and Y even or odd, vec(Y rho_ss) lies in
-    the even or odd sector, and only that half of the vectorized space is
-    propagated.  The full space is used when Y is mixed, when vec(Y rho_ss)
-    has any weight outside the sector, or when the Liouvillian couples the
-    two sectors.
+    Only the row/column parity-difference half holding vec(Y rho_ss) is
+    propagated: with rho_ss in the even half (as ``steady_state`` returns
+    it) that is the even half for Y even and the odd half for Y odd.  The
+    full space is used when vec(Y rho_ss) has weight in both halves, or
+    when the Liouvillian couples them.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2 or times[0] != 0.0:
@@ -555,9 +471,8 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
         raise ValueError("times must be uniformly spaced")
-    v0 = vec(Y.matrix @ rho_ss)
-    odd = {"even": False, "odd": True}.get(Y.parity)
-    values = _evolve_traces(liouv.matrix, v0, times, odd, [X.matrix])[:, 0]
+    v0 = vec(Y @ rho_ss)
+    values = _evolve_traces(liouv.matrix, v0, times, [X])[:, 0]
     return CorrelationSeries(times=times, values=values)
 
 
@@ -603,7 +518,7 @@ class HtrsPoint:
     reversed: CorrelationSeries    # <c_j(t) c_i(0)>
 
 
-def htrs_point(ops: list[FockOperator], H: FockOperator, kappa: float,
+def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
                gamma_p: float, times: np.ndarray, sites: tuple[int, int] = (1, 2),
                pump_site: int = 1) -> HtrsPoint:
     """Loss ``kappa`` on every mode plus, for ``gamma_p`` > 0, the pump
@@ -616,7 +531,7 @@ def htrs_point(ops: list[FockOperator], H: FockOperator, kappa: float,
     jumps = list(ops)
     rates = [kappa] * len(ops)
     if gamma_p > 0:
-        jumps.append(ops[pump_site - 1].dag())
+        jumps.append(dag(ops[pump_site - 1]))
         rates.append(gamma_p)
     liouv = build_liouvillian(H, jumps, rates)
     rho = steady_state(liouv, degeneracy_check=False)
@@ -690,10 +605,10 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
         dim = 1 << (2 * p.L)
         rho0 = np.zeros((dim, dim), dtype=complex)
         rho0[0, 0] = 1.0
-        sys_obs = [n.matrix for n in number_operators(system.a_ops)]
-        sys_obs.append((system.a_ops[0].matrix @ system.a_ops[1].matrix).tocsr())
-        abs_obs = [number_operators(system.b_ops)[0].matrix]
-        obs_dev.append(_evolve_traces(liouv.matrix, vec(rho0), times, False,
+        sys_obs = number_operators(system.a_ops)
+        sys_obs.append((system.a_ops[0] @ system.a_ops[1]).tocsr())
+        abs_obs = [number_operators(system.b_ops)[0]]
+        obs_dev.append(_evolve_traces(liouv.matrix, vec(rho0), times,
                                       sys_obs + abs_obs))
     diff = np.abs(obs_dev[0] - obs_dev[1])
     return CascadeReport(

@@ -259,7 +259,7 @@ def interaction_breakdown(p: float, beta_coh: complex, e_c: float,
         raise InvalidStateError("coherence exceeds sqrt(p(1-p))")
     # fermion side: modes (k, -k) as a 2-mode Fock space
     ops = fock.build_operators(2)
-    c1, c2 = ops[0].matrix.toarray(), ops[1].matrix.toarray()
+    c1, c2 = ops[0].toarray(), ops[1].toarray()
     n1, n2 = c1.conj().T @ c1, c2.conj().T @ c2
     h_fermi = (e_c / 4.0) * (n1 + n2 + 2.0 * n1 @ n2)
     vac = np.zeros(4, dtype=complex)

@@ -108,6 +108,8 @@ def _free_energy_full(rho, mu, kappa, delta):
 class FreeEnergyProfile:
     """Sampled free energy with its located wells.
 
+    ``wells`` are the (rho, Q) pairs of every well, in increasing rho, after
+    wells without a real barrier between them are merged.
     ``rho_low``/``rho_high`` are the minimizers on (0, 2 mu] and [2 mu, 1)
     and are None when the corresponding well does not exist;
     ``delta_q_min`` is Q(rho_high) - Q(rho_low) when both wells exist.
@@ -123,6 +125,7 @@ class FreeEnergyProfile:
     rho_low: float | None
     rho_high: float | None
     delta_q_min: float | None
+    wells: tuple[tuple[float, float], ...]
 
     @property
     def two_wells(self) -> bool:
@@ -193,7 +196,7 @@ def profile(mu, kappa, delta, mode=WEAK, grid_size: int = 4096):
         out[i] = FreeEnergyProfile(
             float(mus[i]), float(kappas[i]), float(deltas[i]), str(modes[i]),
             rho, np.full_like(rho, np.inf), rho_min=0.0, rho_low=None,
-            rho_high=None, delta_q_min=None)
+            rho_high=None, delta_q_min=None, wells=())
     return out[0] if single else tuple(out)
 
 
@@ -245,7 +248,7 @@ def _wells_profile(rho, q, mu, kappa, delta, mode, wells):
                              q, rho_min=rho_min,
                              rho_low=low[0] if low else None,
                              rho_high=high[0] if high else None,
-                             delta_q_min=dq)
+                             delta_q_min=dq, wells=tuple(wells))
 
 
 def _merge_wells(q, wells, barrier_tol: float = 1e-12):
@@ -271,9 +274,15 @@ def density_thermo(prof: FreeEnergyProfile) -> float:
 
 
 def _low_dominates(prof: FreeEnergyProfile) -> bool:
-    """True while the low well is the deeper one (False once the high is)."""
-    if prof.two_wells:
-        return math.copysign(1.0, prof.delta_q_min) > 0
+    """True while the low-density phase wins (False once the high one does).
+
+    With two or more wells: whether the left of the two deepest wells is at
+    least as deep as the right one, wherever they lie against rho = 2 mu.
+    With one well: whether it lies below 2 mu.
+    """
+    if len(prof.wells) >= 2:
+        left, right = sorted(sorted(prof.wells, key=lambda w: w[1])[:2])
+        return left[1] <= right[1]
     return prof.rho_min < 2.0 * prof.mu
 
 
@@ -281,8 +290,9 @@ def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
                    tol: float = 1e-6, grid_size: int = 4096):
     """First-order transition point delta_crit(mu) by bisection.
 
-    Bisects on the sign of the well-depth difference until the bracket is
-    narrower than ``tol`` (> 0) or at float resolution.  A NoBistableWindow
+    Bisects on the sign of the depth difference of the two deepest wells
+    (see ``_low_dominates``) until the bracket is narrower than ``tol``
+    (> 0) or at float resolution.  A NoBistableWindow
     error is raised when the crossing is a smooth crossover instead of a
     two-well exchange (large kappa pushes the terminal point below the
     requested mu); IterationLimitError if MAX_BISECTIONS halvings do not
@@ -328,7 +338,7 @@ def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
         profs = profile(mus[live], kappa, [mid[i] for i in live], mode,
                         grid_size)
         for i, prof in zip(live, profs):
-            two_well_seen[i] = two_well_seen[i] or prof.two_wells
+            two_well_seen[i] = two_well_seen[i] or len(prof.wells) >= 2
             if _low_dominates(prof):
                 lo[i] = mid[i]
             else:

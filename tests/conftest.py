@@ -36,7 +36,7 @@ def dark_pair_operator(system: fock.DoubledSystem, bc: str) -> sp.csr_matrix:
     dim = 1 << (2 * L)
     B = sp.csr_matrix((dim, dim), dtype=complex)
     for j in range(L if bc == PBC else L - 1):
-        B = B + dark[j].dag().matrix @ dark[(j + 1) % L].dag().matrix
+        B = B + fock.dag(dark[j]) @ fock.dag(dark[(j + 1) % L])
     return B
 
 
@@ -46,5 +46,5 @@ def fock_expectation(psi: np.ndarray, op: sp.spmatrix) -> complex:
 
 def cqa_state_and_system(params: ModelParams):
     system = fock.build_doubled_system(params)
-    psi = fock.build_cqa_state(params, system=system)
+    psi = fock.build_cqa_state(system)
     return psi, system

@@ -99,9 +99,7 @@ def test_criterion_05_closed_form_observables_vs_fock():
         psi, system = cqa_state_and_system(p)
         tbl = ss.build_coefficients(p)
         dark = system.dark_ops()
-        n_tot = (dark[0].dag() @ dark[0]).matrix
-        for d in dark[1:]:
-            n_tot = n_tot + (d.dag() @ d).matrix
+        n_tot = sum(fock.number_operators(dark))
         worst = max(worst, abs(
             ss.mean_density(tbl)
             - fock_expectation(psi, n_tot).real / (2 * L)))
@@ -109,11 +107,11 @@ def test_criterion_05_closed_form_observables_vs_fock():
         bdag_ref = complex(np.vdot(psi, raiser @ psi))
         worst = max(worst, abs(ss.pair_expectation(tbl, 1) - bdag_ref))
         for m in range(1, L // 2 + 1):
-            op = dark[0].dag().matrix @ dark[2 * m - 1].dag().matrix
+            op = fock.dag(dark[0]) @ fock.dag(dark[2 * m - 1])
             worst = max(worst, abs(ss.anomalous_correlation(tbl, m)
                                    - fock_expectation(psi, op)))
         for m in range(L // 2 + 1):
-            op = dark[0].dag().matrix @ dark[(2 * m) % L].matrix
+            op = fock.dag(dark[0]) @ dark[(2 * m) % L]
             worst = max(worst, abs(ss.normal_correlation(tbl, m)
                                    - fock_expectation(psi, op).real))
     antipodal = 0.0
@@ -153,7 +151,7 @@ def test_criterion_06_combinatorics_triple_agreement():
         import scipy.sparse as sp
         B = sp.csr_matrix((1 << L, 1 << L), dtype=complex)
         for j in range(L):
-            B = B + ops[j].dag().matrix @ ops[(j + 1) % L].dag().matrix
+            B = B + fock.dag(ops[j]) @ fock.dag(ops[(j + 1) % L])
         v = np.zeros(1 << L, dtype=complex)
         v[0] = 1.0
         for n in range(1, L // 2 + 1):
@@ -176,7 +174,7 @@ def test_criterion_07_noninteracting_exactness():
     H = fock.build_hamiltonian(nearest_neighbor_pairing(L, delta, PBC),
                                mu, 0.0, ops)
     rho = fock.steady_state(fock.build_liouvillian(H, ops, kappa))
-    ed = float(np.sum((fock.total_number(L).matrix @ rho).diagonal()).real) / L
+    ed = float(np.sum((fock.total_number(L) @ rho).diagonal()).real) / L
     ksum = mf.free_finite_L_density(L, mu, delta, kappa)
     closed = ss.mean_density(ss.build_coefficients(
         ModelParams(L=L, bc=PBC, mu=mu, delta=delta, e_c=0.0, kappa=kappa)))

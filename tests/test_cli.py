@@ -227,6 +227,21 @@ class TestCommands:
         assert out.read_text() == (pinned / "0.txt").read_text()
         assert [p.name for p in tmp_path.iterdir()] == ["v.txt"]
 
+    @pytest.mark.parametrize("level,builds", [("quick", 5), ("full", 7)])
+    def test_verify_builds_each_doubled_system_once(self, level, builds,
+                                                    monkeypatch):
+        # one build per grid point plus one for the L = 6 density check
+        calls = []
+        build = fock.build_doubled_system
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "build_doubled_system", counted)
+        assert run(["verify", "--level", level]) == 0
+        assert len(calls) == builds
+
     def test_verify_has_no_format_flag(self, tmp_path):
         out = tmp_path / "v.json"
         assert run(["verify", "--format", "json",

@@ -30,7 +30,7 @@ def anticommutator(a, b):
 
 class TestOperators:
     def test_canonical_anticommutation(self):
-        ops = [o.matrix.toarray() for o in fock.build_operators(4)]
+        ops = [o.toarray() for o in fock.build_operators(4)]
         eye = np.eye(16)
         for i, ci in enumerate(ops):
             for j, cj in enumerate(ops):
@@ -41,70 +41,20 @@ class TestOperators:
 
     def test_number_completeness(self):
         c1 = fock.build_operators(2)[0]
-        total = (c1.dag() @ c1 + fock.FockOperator(
-            2, (c1.matrix @ c1.dag().matrix).tocsr())).matrix.toarray()
+        total = (fock.dag(c1) @ c1 + c1 @ fock.dag(c1)).toarray()
         assert np.abs(total - np.eye(4)).max() < 1e-15
 
     def test_parity_commutes_with_bilinears(self):
         ops = fock.build_operators(4)
-        P = fock.parity_operator(4).matrix
+        P = fock.parity_operator(4)
         for a in ops:
             for b in ops:
-                bil = a.dag().matrix @ b.matrix
+                bil = fock.dag(a) @ b
                 assert abs((P @ bil - bil @ P)).max() < 1e-15
-
-    def test_parity_classification(self):
-        ops = fock.build_operators(3)
-        assert all(o.parity == "odd" for o in ops)
-        assert (ops[0].dag() @ ops[1]).parity == "even"
-        mixed = ops[0] + (ops[0].dag() @ ops[1])
-        assert mixed.parity == "mixed"
 
     def test_mode_guard(self):
         with pytest.raises(TooManyModesError):
             fock.build_operators(17)
-
-
-def random_operator(rng, n_modes, parity):
-    """Random sparse operator with the nonzero pattern of one parity."""
-    par = np.bitwise_count(np.arange(1 << n_modes, dtype=np.uint32)) & 1
-    allowed = {"even": par[:, None] == par[None, :],
-               "odd": par[:, None] != par[None, :],
-               "mixed": np.ones((par.size, par.size), dtype=bool)}[parity]
-    keep = allowed & (rng.random(allowed.shape) < 0.3)
-    vals = rng.normal(size=keep.shape) + 1j * rng.normal(size=keep.shape)
-    return fock.FockOperator(n_modes, sp.csr_matrix(np.where(keep, vals, 0)))
-
-
-class TestParityDerivation:
-    KINDS = ("even", "odd", "mixed")
-
-    def test_derived_parity_matches_classification(self):
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            left, right = ({k: random_operator(rng, 4, k) for k in self.KINDS}
-                           for _ in range(2))
-            for k, a in left.items():
-                assert a.parity == k
-                assert (2.5 * a).parity == k
-                assert a.dag().parity == fock._classify_parity(a.dag().matrix)
-                for b in right.values():
-                    for res in (a @ b, a + b, a - b):
-                        assert res.parity == fock._classify_parity(res.matrix)
-
-    def test_products_and_like_sums_skip_classification(self, monkeypatch):
-        ops = fock.build_operators(3)
-
-        def refuse(m):
-            raise AssertionError("parity was classified")
-
-        monkeypatch.setattr(fock, "_classify_parity", refuse)
-        n0 = ops[0].dag() @ ops[0]
-        assert n0.parity == "even"
-        assert (n0 @ ops[1]).parity == "odd"
-        assert (ops[1] @ ops[2]).parity == "even"
-        assert (ops[0] + 0.5 * ops[1] - ops[2]).parity == "odd"
-        assert (n0 - ops[1].dag() @ ops[2]).parity == "even"
 
 
 def term_sum_doubled_hamiltonian(p, absorber_mu):
@@ -119,17 +69,17 @@ def term_sum_doubled_hamiltonian(p, absorber_mu):
                             (ops[p.L:], absorber_mu, -1.0)):
         occ = np.zeros(dim)
         for c in block:
-            occ += (c.dag() @ c).matrix.diagonal().real
+            occ += (fock.dag(c) @ c).diagonal().real
         H = H + sign * sp.diags(
             (-mu * occ + (p.e_c / (2.0 * p.L)) * occ * occ).astype(complex))
         for i in range(p.L):
             for j in range(i + 1, p.L):
                 if D[i, j] != 0:
                     t = (2.0 * D[i, j]) * (
-                        block[i].dag().matrix @ block[j].dag().matrix)
+                        fock.dag(block[i]) @ fock.dag(block[j]))
                     H = H + sign * (t + t.conj().T)
     for a, b in zip(ops[:p.L], ops[p.L:]):
-        t = a.dag().matrix @ b.matrix
+        t = fock.dag(a) @ b
         H = H + (-0.5j * p.kappa) * (t - t.conj().T)
     return H.tocsr()
 
@@ -137,21 +87,21 @@ def term_sum_doubled_hamiltonian(p, absorber_mu):
 class TestHamiltonian:
     def test_diagonal_without_pairing(self):
         ops = fock.build_operators(3)
-        H = fock.build_hamiltonian(np.zeros((3, 3)), 0.7, 0.0, ops).matrix
+        H = fock.build_hamiltonian(np.zeros((3, 3)), 0.7, 0.0, ops)
         occ = np.array([bin(i).count("1") for i in range(8)])
         assert np.abs(H.toarray() - np.diag(-0.7 * occ)).max() < 1e-15
 
     def test_hermitian(self):
         ops = fock.build_operators(4)
         H = fock.build_hamiltonian(
-            nearest_neighbor_pairing(4, 0.3, PBC), 0.2, 1.0, ops).matrix
+            nearest_neighbor_pairing(4, 0.3, PBC), 0.2, 1.0, ops)
         assert np.abs((H - H.conj().T)).max() < 1e-13
 
     def test_commutes_with_parity(self):
         ops = fock.build_operators(4)
         H = fock.build_hamiltonian(
-            nearest_neighbor_pairing(4, 0.3, PBC), 0.2, 1.0, ops).matrix
-        P = fock.parity_operator(4).matrix
+            nearest_neighbor_pairing(4, 0.3, PBC), 0.2, 1.0, ops)
+        P = fock.parity_operator(4)
         assert abs((P @ H - H @ P)).max() < 1e-13
 
     def test_dimension_guard(self):
@@ -166,7 +116,7 @@ class TestHamiltonian:
         p = ModelParams(L=L, bc=bc, mu=0.23, delta=0.31, e_c=1.0, kappa=0.07)
         absorber_mu = None if detuning is None else p.mu + detuning
         got = fock.build_doubled_system(
-            p, absorber_mu=absorber_mu).hamiltonian.matrix.copy()
+            p, absorber_mu=absorber_mu).hamiltonian.copy()
         ref = term_sum_doubled_hamiltonian(
             p, p.mu if absorber_mu is None else absorber_mu)
         got.sort_indices()
@@ -232,7 +182,7 @@ class TestSteadyState:
                             kappa=kappa)
             ops, H = fock._single_system(p)
             rho = fock.steady_state(fock.build_liouvillian(H, ops, kappa))
-            n = fock.total_number(4).matrix
+            n = fock.total_number(4)
             dens.append(float(np.sum((n @ rho).diagonal()).real) / 4)
         assert all(a > b for a, b in zip(dens, dens[1:]))
 
@@ -248,7 +198,7 @@ class TestSteadyState:
 class TestCqaState:
     def test_vacuum_at_zero_pairing(self):
         p = ModelParams(L=3, bc=OBC, mu=0.2, delta=0.0, e_c=1.0, kappa=0.1)
-        psi = fock.build_cqa_state(p)
+        psi = fock.build_cqa_state(fock.build_doubled_system(p))
         assert psi[0] == 1.0
         assert np.abs(psi[1:]).max() == 0.0
 
@@ -287,16 +237,17 @@ class TestCqaState:
             for e_c in (0.0, 1.0, -0.7):
                 p = ModelParams(L=L, bc=bc, mu=0.31, delta=0.21, e_c=e_c,
                                 kappa=0.17)
-                psi, _ = cqa_state_and_system(p)
-                rep = fock.verify_dark_conditions(psi, p)
+                psi, system = cqa_state_and_system(p)
+                rep = fock.verify_dark_conditions(psi, system)
                 assert rep.max_residual < 1e-10
 
     def test_dark_conditions_general_pairing(self):
         rng = np.random.default_rng(41)
         A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         pm = PairingMatrix.from_entries(A - A.T)
-        psi = fock.build_cqa_state(pm, mu=0.4, e_c=0.8, kappa=0.3)
-        rep = fock.verify_dark_conditions(psi, pm, mu=0.4, e_c=0.8, kappa=0.3)
+        system = fock.build_doubled_system(pm, mu=0.4, e_c=0.8, kappa=0.3)
+        psi = fock.build_cqa_state(system)
+        rep = fock.verify_dark_conditions(psi, system)
         assert rep.max_residual < 1e-10
 
     def test_perturbed_coefficient_breaks_darkness(self):
@@ -310,7 +261,7 @@ class TestCqaState:
         tbl = ss.build_coefficients(p)
         bad = psi + 1e-3 * tbl.alpha_complex()[1] * pair_part
         bad /= np.linalg.norm(bad)
-        rep = fock.verify_dark_conditions(bad, p)
+        rep = fock.verify_dark_conditions(bad, system)
         assert rep.hamiltonian_residual > 1e-5
         assert rep.jump_residuals.max() < 1e-12  # still purely dark modes
 
@@ -439,7 +390,7 @@ class TestParitySector:
         ops, H = fock._single_system(p)
         jumps, rates = list(ops), [p.kappa] * 4
         if gamma_p > 0:
-            jumps.append(ops[0].dag())
+            jumps.append(fock.dag(ops[0]))
             rates.append(gamma_p)
         if extra_jump is not None:
             jumps.append(extra_jump(ops))
@@ -451,7 +402,7 @@ class TestParitySector:
     def test_steady_state_matches_full_lu(self, gamma_p):
         _, _, liouv = self.system(gamma_p)
         x0 = fock.vec(np.eye(16, dtype=complex))
-        assert fock._sector(liouv.matrix, x0, False).size == 128
+        assert fock._sector(liouv.matrix, x0).size == 128
         rho = fock.steady_state(liouv)
         assert fock.trace_distance(rho, full_space_steady_state(liouv)) < 1e-12
 
@@ -462,42 +413,57 @@ class TestParitySector:
         rho = fock.steady_state(liouv)
         X, Y = {"odd": (ops[0], ops[1]), "even-y": (ops[1], h_eff),
                 "even-x": (h_eff, ops[1])}[pair]
-        v0 = fock.vec(Y.matrix @ rho)
-        odd = Y.parity == "odd"
-        assert fock._sector(liouv.matrix, v0, odd).size == 128
+        v0 = fock.vec(Y @ rho)
+        idx = fock._sector(liouv.matrix, v0)
+        assert idx.size == 128
+        assert not np.delete(v0, idx).any()  # the half holding vec(Y rho)
         got = fock.two_time_correlation(liouv, rho, X, Y, self.times).values
-        ref = full_space_traces(liouv, v0, self.times, [X.matrix])[:, 0]
+        ref = full_space_traces(liouv, v0, self.times, [X])[:, 0]
         assert_close_relative(got, ref)
+
+    def test_zero_start_vector_takes_one_half(self):
+        # c_1 annihilates the vacuum, so vec(Y rho) is exactly zero: it lies
+        # in both halves, and the even one is propagated
+        ops, _, liouv = self.system(0.004)
+        rho = np.zeros((16, 16), dtype=complex)
+        rho[0, 0] = 1.0
+        v0 = fock.vec(ops[1] @ rho)
+        assert not v0.any()
+        x0 = fock.vec(np.eye(16, dtype=complex))
+        even = fock._sector(liouv.matrix, x0)
+        assert np.array_equal(fock._sector(liouv.matrix, v0), even)
+        got = fock.two_time_correlation(liouv, rho, ops[0], ops[1],
+                                        self.times).values
+        assert got.shape == self.times.shape and not got.any()
 
     def test_mixed_y_uses_full_space(self):
         ops, _, liouv = self.system(0.004)
         rho = fock.steady_state(liouv)
-        Y = ops[1] + ops[0].dag() @ ops[0]
-        assert Y.parity == "mixed"
-        v0 = fock.vec(Y.matrix @ rho)
-        assert fock._sector(liouv.matrix, v0, None).size == 256
+        Y = ops[1] + fock.dag(ops[0]) @ ops[0]
+        v0 = fock.vec(Y @ rho)
+        assert fock._sector(liouv.matrix, v0).size == 256
         got = fock.two_time_correlation(liouv, rho, ops[0], Y,
                                         self.times).values
         assert_close_relative(
-            got, full_space_traces(liouv, v0, self.times, [ops[0].matrix])[:, 0])
+            got, full_space_traces(liouv, v0, self.times, [ops[0]])[:, 0])
 
     def test_weight_outside_sector_uses_full_space(self):
         ops, _, liouv = self.system(0.0)
         rho = fock.steady_state(liouv).copy()
         rho[2, 3] = rho[3, 2] = 1e-3  # coherence between parity sectors
-        v0 = fock.vec(ops[1].matrix @ rho)
-        assert fock._sector(liouv.matrix, v0, True).size == 256
+        v0 = fock.vec(ops[1] @ rho)
+        assert fock._sector(liouv.matrix, v0).size == 256
         got = fock.two_time_correlation(liouv, rho, ops[0], ops[1],
                                         self.times).values
         assert_close_relative(
-            got, full_space_traces(liouv, v0, self.times, [ops[0].matrix])[:, 0])
+            got, full_space_traces(liouv, v0, self.times, [ops[0]])[:, 0])
 
     def test_coupling_generator_uses_full_space(self):
         # a mixed-parity jump couples the two parity-difference sectors
         _, _, liouv = self.system(
-            0.0, extra_jump=lambda ops: ops[0] + ops[1].dag() @ ops[1])
+            0.0, extra_jump=lambda ops: ops[0] + fock.dag(ops[1]) @ ops[1])
         x0 = fock.vec(np.eye(16, dtype=complex))
-        assert fock._sector(liouv.matrix, x0, False).size == 256
+        assert fock._sector(liouv.matrix, x0).size == 256
         rho = fock.steady_state(liouv)
         assert fock.trace_distance(rho, full_space_steady_state(liouv)) < 1e-12
 
@@ -508,10 +474,10 @@ class TestParitySector:
         liouv = fock.build_liouvillian(system.hamiltonian, system.jumps, 0.1)
         v0 = np.zeros(256, dtype=complex)
         v0[0] = 1.0
-        obs = [n.matrix for n in fock.number_operators(system.ops)]
+        obs = fock.number_operators(system.ops)
         times = np.linspace(0.0, 50.0, 11)
-        got = fock._evolve_traces(liouv.matrix, v0, times, False, obs)
-        assert fock._sector(liouv.matrix, v0, False).size == 128
+        got = fock._evolve_traces(liouv.matrix, v0, times, obs)
+        assert fock._sector(liouv.matrix, v0).size == 128
         assert_close_relative(got, full_space_traces(liouv, v0, times, obs))
 
 

@@ -268,7 +268,7 @@ class TestFreeFiniteDensity:
         H = fock.build_hamiltonian(nearest_neighbor_pairing(L, delta, PBC),
                                    mu, 0.0, ops)
         rho = fock.steady_state(fock.build_liouvillian(H, ops, kappa))
-        n_tot = fock.total_number(L).matrix
+        n_tot = fock.total_number(L)
         ed = float(np.sum((n_tot @ rho).diagonal()).real) / L
         assert mf.free_finite_L_density(L, mu, delta, kappa) == (
             pytest.approx(ed, abs=1e-10))

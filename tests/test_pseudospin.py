@@ -229,9 +229,9 @@ class TestAgainstExactDiagonalization:
 
 def _momentum_annihilator(ops, k):
     L = len(ops)
-    out = sp.csr_matrix(ops[0].matrix.shape, dtype=complex)
+    out = sp.csr_matrix(ops[0].shape, dtype=complex)
     for j, c in enumerate(ops):
-        out = out + np.exp(-1j * k * (j + 1)) * c.matrix
+        out = out + np.exp(-1j * k * (j + 1)) * c
     return out / math.sqrt(L)
 
 
@@ -268,7 +268,7 @@ class TestInteractionBreakdown:
         # sides: d<c_{-k}c_k> = d<sigma^-> = (-i e_c - kappa) beta
         p, beta, e_c, kappa = 0.4, 0.2 + 0.1j, 1.3, 0.07
         ops = fock.build_operators(2)
-        c1, c2 = ops[0].matrix.toarray(), ops[1].matrix.toarray()
+        c1, c2 = ops[0].toarray(), ops[1].toarray()
         n1, n2 = c1.conj().T @ c1, c2.conj().T @ c2
         h = (e_c / 4.0) * (n1 + n2 + 2.0 * n1 @ n2)
         vac = np.zeros(4, dtype=complex)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cqa_fermi import kernels, meanfield, steadystate as ss
+from cqa_fermi import fock, kernels, meanfield, steadystate as ss
 from cqa_fermi.core import OBC, PBC, ModelParams
 from cqa_fermi.errors import BoundaryUnsupportedError
 from conftest import cqa_state_and_system, dark_pair_operator, fock_expectation
@@ -95,9 +95,7 @@ class TestDensityAndMoments:
         p = ModelParams(L=6, bc=PBC, mu=0.23, delta=0.31, e_c=1.0, kappa=0.07)
         psi, system = cqa_state_and_system(p)
         tbl = ss.build_coefficients(p)
-        n_tot = (system.dark_ops()[0].dag() @ system.dark_ops()[0]).matrix
-        for d in system.dark_ops()[1:]:
-            n_tot = n_tot + (d.dag() @ d).matrix
+        n_tot = sum(fock.number_operators(system.dark_ops()))
         for m in (1, 2, 3):
             ref = fock_expectation(psi, n_tot**m).real
             assert ss.number_moment(tbl, m) == pytest.approx(ref, abs=1e-10)
@@ -168,7 +166,7 @@ class TestAnomalousCorrelation:
         tbl = ss.build_coefficients(p)
         dark = system.dark_ops()
         for m in range(1, L // 2 + 1):
-            op = dark[0].dag().matrix @ dark[2 * m - 1].dag().matrix
+            op = fock.dag(dark[0]) @ fock.dag(dark[2 * m - 1])
             ref = fock_expectation(psi, op)
             assert ss.anomalous_correlation(tbl, m) == pytest.approx(
                 ref, abs=1e-10)
@@ -204,7 +202,7 @@ class TestNormalCorrelation:
         tbl = ss.build_coefficients(p)
         dark = system.dark_ops()
         for m in range(L // 2 + 1):
-            op = dark[0].dag().matrix @ dark[(2 * m) % L].matrix
+            op = fock.dag(dark[0]) @ dark[(2 * m) % L]
             ref = fock_expectation(psi, op)
             assert abs(ref.imag) < 1e-12
             assert ss.normal_correlation(tbl, m) == pytest.approx(
@@ -219,9 +217,7 @@ def test_every_closed_form_matches_fock_at_L8():
         psi, system = cqa_state_and_system(p)
         tbl = ss.build_coefficients(p)
         dark = system.dark_ops()
-        n_tot = (dark[0].dag() @ dark[0]).matrix
-        for d in dark[1:]:
-            n_tot = n_tot + (d.dag() @ d).matrix
+        n_tot = sum(fock.number_operators(dark))
         dens = fock_expectation(psi, n_tot).real / (2 * p.L)
         assert ss.mean_density(tbl) == pytest.approx(dens, abs=1e-9)
         raiser = dark_pair_operator(system, bc)

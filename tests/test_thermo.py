@@ -167,7 +167,7 @@ class TestProfile:
                                                   True, False]
         for got, want in zip(batch, singles):
             for name in ("mu", "kappa", "delta", "mode", "rho_min",
-                         "rho_low", "rho_high", "delta_q_min"):
+                         "rho_low", "rho_high", "delta_q_min", "wells"):
                 assert getattr(got, name) == getattr(want, name), name
             assert np.array_equal(got.rho, want.rho)
             assert np.array_equal(got.q, want.q)
@@ -222,19 +222,54 @@ class TestCriticalDelta:
         assert all(type(v) is float for v in got)
 
     def test_sequence_raises_first_failure_in_mu_order(self):
-        # 0.05 is a single-well crossover, found only after the bisection;
+        # 0.04 is a single-well crossover, found only after the bisection;
         # 0.49 fails the endpoint check before it, and must not win
         with pytest.raises(NoBistableWindowError, match="single-well"):
-            thermo.critical_delta([0.3, 0.05, 0.49], kappa=0.05, mode="full")
+            thermo.critical_delta([0.3, 0.04, 0.49], kappa=0.05, mode="full")
         with pytest.raises(NoBistableWindowError, match="no low-to-high"):
-            thermo.critical_delta([0.3, 0.49, 0.05], kappa=0.05, mode="full")
+            thermo.critical_delta([0.3, 0.49, 0.04], kappa=0.05, mode="full")
         with pytest.raises(DomainError, match="0 < mu < 1/2"):
-            thermo.critical_delta([0.2, 0.7, 0.05], kappa=0.05, mode="full")
+            thermo.critical_delta([0.2, 0.7, 0.04], kappa=0.05, mode="full")
         # a setting every entry shares fails each valid entry, in order
         with pytest.raises(DomainError, match="0 < mu < 1/2"):
             thermo.critical_delta([0.7, 0.2], kappa=0.0, mode="full")
         with pytest.raises(DomainError, match="kappa > 0"):
             thermo.critical_delta([0.2, 0.7], kappa=0.0, mode="full")
+
+    # (mu, kappa) where labelling the wells by rho = 2 mu returned a point
+    # off the line, with depth gaps 5.8e-4, 2.0e-3 and 4.6e-3; and
+    # mu = 0.05 at kappa = 0.05, which that labelling called a crossover
+    OFF_LINE = [(0.057, 0.05), (0.13, 0.1), (0.41, 0.1), (0.05, 0.05)]
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.1])
+    def test_deepest_wells_level_at_every_returned_delta(self, kappa):
+        # Q depends on delta only through -(1 + ln delta) rho, so the gap
+        # between two wells moves at |dQ/ddelta| = |rho_1 - rho_2| / delta;
+        # a bracket narrower than tol holds the level point within tol
+        tol = 1e-6
+        rho = np.linspace(0.0, 1.0, 2**18 + 2)[1:-1]
+        named = [m for m, k in self.OFF_LINE if k == kappa]
+        mus = named + np.round(np.arange(0.03, 0.5, 0.04), 2).tolist()
+        checked = 0
+        for mu in mus:
+            try:
+                d = thermo.critical_delta(mu, kappa=kappa, mode="full",
+                                          tol=tol)
+            except NoBistableWindowError:
+                assert (mu, kappa) not in self.OFF_LINE
+                continue
+            # the two deepest grid minima of Q, each refined by a parabola
+            q = thermo.free_energy(rho, mu, kappa, d, "full")
+            i = np.nonzero((q[1:-1] < q[:-2]) & (q[1:-1] <= q[2:]))[0] + 1
+            a, b, c = q[i - 1], q[i], q[i + 1]
+            depth = b - (c - a) ** 2 / (8.0 * (c - 2.0 * b + a))
+            two = np.argsort(depth)[:2]
+            assert two.size == 2, (mu, kappa)
+            gap = abs(depth[two[0]] - depth[two[1]])
+            slope = abs(rho[i[two[0]]] - rho[i[two[1]]]) / d
+            assert gap <= tol * slope, (mu, kappa, d, gap)
+            checked += 1
+        assert checked > 2 * len(named)
 
     def test_sequence_bisection_cap(self, monkeypatch):
         monkeypatch.setattr(thermo, "MAX_BISECTIONS", 3)
