@@ -273,13 +273,13 @@ def _cmd_htrs(args):
     from . import fock
 
     times = np.linspace(0.0, args.t_final, args.samples)
-    ops, H = fock._single_system(ModelParams(
+    ops, H = fock.single_system(ModelParams(
         L=args.L, bc="pbc", mu=args.mu, delta=args.delta, e_c=args.e_c,
         kappa=args.kappa))
     rows = []
     for g in parse_grid(args.gamma_p):
         pt = fock.htrs_point(ops, H, args.kappa, float(g), times)
-        for t, a, b in zip(times, pt.forward.values, pt.reversed.values):
+        for t, a, b in zip(times, pt.forward, pt.reversed):
             rows.append((g, t, a.real, a.imag, b.real, b.imag, abs(a + b)))
     return (["gamma_p", "time", "re_forward", "im_forward", "re_reversed",
              "im_reversed", "abs_sum"], rows, {})
@@ -303,7 +303,7 @@ def _cmd_verify(args) -> int:
             psi = fock.build_cqa_state(system)
             rep = fock.verify_dark_conditions(psi, system)
             rho_cqa = fock.partial_trace_absorber(psi)
-            ops, H = fock._single_system(p)
+            ops, H = fock.single_system(p)
             liouv = fock.build_liouvillian(H, ops, p.kappa)
             rho_ss = fock.steady_state(liouv)
         checks.append((f"dark-conditions L={L} {bc}", rep.max_residual < 1e-10))

@@ -2,50 +2,36 @@
 
 Three independent evaluation routes are provided for cross-validation: the
 closed-form binomials, a generating-function sum, and brute-force
-enumeration.  Counts are exact big integers; log-domain variants back the
-large-L steady-state sums where only ln N(L, n) is needed.
+enumeration.  Counts are plain exact ints (``math.log`` takes them
+directly); the log-domain ``log_counts`` backs the large-L steady-state
+sums where only ln N(L, n) is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.special import gammaln
 
-from .core import OBC, PBC
+from .core import OBC
 from .errors import OutOfRangeError, TooLargeError
 
 ENUMERATION_MAX_SITES = 24
 
 
-@dataclass(frozen=True)
-class DimerCount:
-    """An exact nonnegative count together with its natural log."""
-
-    value: int
-
-    @property
-    def log_value(self) -> float:
-        if self.value == 0:
-            return float("-inf")
-        # math.log takes big ints directly, no float conversion overflow
-        return math.log(self.value)
-
-
-def count_obc(L: int, n: int) -> DimerCount:
+def count_obc(L: int, n: int) -> int:
     """Number of ways to place n non-overlapping dimers on an open L-chain.
 
     Equals C(L-n, n): a configuration is an arrangement of n dimers and
     L-2n empty sites in a row.
     """
     _check_range(L, n)
-    return DimerCount(math.comb(L - n, n))
+    return math.comb(L - n, n)
 
 
-def count_pbc(L: int, n: int) -> DimerCount:
+def count_pbc(L: int, n: int) -> int:
     """Number of ways to place n non-overlapping dimers on an L-ring.
 
     For n >= 1 this is (L/n) * C(L-n-1, n-1): L positions for a first dimer,
@@ -54,15 +40,15 @@ def count_pbc(L: int, n: int) -> DimerCount:
     """
     _check_range(L, n)
     if n == 0:
-        return DimerCount(1)
+        return 1
     num = L * math.comb(L - n - 1, n - 1)
     q, r = divmod(num, n)
     if r:  # pragma: no cover - the closed form is always divisible
         raise ArithmeticError(f"ring count not integral for L={L}, n={n}")
-    return DimerCount(q)
+    return q
 
 
-def count_genfunc(L: int, n: int) -> DimerCount:
+def count_genfunc(L: int, n: int) -> int:
     """Open-chain dimer count via the transfer/generating-function route.
 
     Evaluates 2^(2n-L) * sum_k C(L+1, 2k+1) * C(k, k-n) exactly in integer
@@ -75,7 +61,7 @@ def count_genfunc(L: int, n: int) -> DimerCount:
     q, r = divmod(total, 1 << (L - 2 * n))
     if r:  # pragma: no cover - the sum is always divisible by 2^(L-2n)
         raise ArithmeticError(f"generating-function sum not divisible, L={L}, n={n}")
-    return DimerCount(q)
+    return q
 
 
 def enumerate_dimers(L: int, n: int, bc: str = OBC) -> list[tuple[int, ...]]:
@@ -105,11 +91,6 @@ def enumerate_dimers(L: int, n: int, bc: str = OBC) -> list[tuple[int, ...]]:
         if ok:
             placements.append(combo)
     return placements
-
-
-def count(L: int, n: int, bc: str) -> DimerCount:
-    """Boundary-condition dispatch for the closed-form counts."""
-    return count_pbc(L, n) if bc == PBC else count_obc(L, n)
 
 
 def log_counts(L: int, bc: str, n_max: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Brute-force Lindblad exact diagonalization in the occupation-number basis.
 
 Everything here is the small-system oracle: Jordan-Wigner fermion operators
-with their sign strings baked into plain scipy CSR matrices, Hamiltonians
-with arbitrary antisymmetric pairing and a global charging energy, the
-vectorized Liouvillian, steady states, the absorber-doubled pure state and
-its partial trace, two-time correlations via quantum regression, and the
-nonreciprocity checks.  Operators carry no parity label: the evolutions
-find the parity-difference half they can stay in from their start vector.
-Dimensions are deliberately capped; the closed-form modules are the
-production path.
+with their sign strings baked into plain scipy CSR matrices, one pair
+creation operator shared by the Hamiltonians (arbitrary antisymmetric
+pairing, global charging energy) and the absorber-doubled pure state, the
+vectorized Liouvillian (also behind ``pseudospin.interaction_breakdown``),
+steady states, the partial trace, two-time correlations via quantum
+regression, and the nonreciprocity checks.  Operators carry no parity
+label: the evolutions find the parity-difference half they can stay in
+from their start vector.  Dimensions are deliberately capped; the
+closed-form modules are the production path.
 """
 
 from __future__ import annotations
@@ -85,16 +86,27 @@ def parity_operator(n_modes: int) -> sp.csr_matrix:
     return sp.diags(signs.astype(complex)).tocsr()
 
 
+def pair_creation(D, ops: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """sum_{i<j} 2 D_ij c_i^dag c_j^dag over ``ops``: the factor 2 restores
+    the double sum over ordered pairs of the antisymmetric D."""
+    dim = ops[0].shape[0]
+    P = sp.csr_matrix((dim, dim), dtype=complex)
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if D[i, j] != 0:
+                P = P + (2.0 * D[i, j]) * (dag(ops[i]) @ dag(ops[j]))
+    return P
+
+
 def build_hamiltonian(pairing, mu: float, e_c: float,
                       ops: list[sp.csr_matrix]) -> sp.csr_matrix:
     """Hermitian matrix of the pairing chain Hamiltonian.
 
-    H = -mu * sum_j n_j + e_c/(2M) * (sum_j n_j)^2
-        + sum_{i<j} (2 D_ij c_i^dag c_j^dag + h.c.)
+    H = -mu * sum_j n_j + e_c/(2M) * (sum_j n_j)^2 + P + P^dag
 
-    where D is the antisymmetric pairing matrix (the factor 2 restores the
-    unrestricted double sum over ordered index pairs).  The sums run over
-    the M modes of ``ops``, which may be a block of a larger Fock space.
+    with P = :func:`pair_creation` of the antisymmetric pairing matrix D.
+    The sums run over the M modes of ``ops``, which may be a block of a
+    larger Fock space.
     """
     D = pairing.entries if isinstance(pairing, PairingMatrix) else np.asarray(pairing)
     M = len(ops)
@@ -102,13 +114,8 @@ def build_hamiltonian(pairing, mu: float, e_c: float,
         raise DimensionMismatchError(f"pairing shape {D.shape} vs {M} modes")
     occ = sum(n.diagonal().real for n in number_operators(ops))
     diag = -mu * occ + (e_c / (2.0 * M)) * occ * occ
-    H = sp.diags(diag.astype(complex)).tocsr()
-    for i in range(M):
-        for j in range(i + 1, M):
-            if D[i, j] != 0:
-                term = (2.0 * D[i, j]) * (dag(ops[i]) @ dag(ops[j]))
-                H = H + term + term.conj().T
-    return H.tocsr()
+    P = pair_creation(D, ops)
+    return (sp.diags(diag.astype(complex)) + P + dag(P)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -368,27 +375,17 @@ def build_cqa_state(system: DoubledSystem) -> np.ndarray:
     """Normalized pure steady state of the absorber-doubled ``system``.
 
     The state is the power series sum_n (g_n / n!) (P^dag)^n |0> with
-    P^dag = sum_{i<j} 2 D_ij c_{i,+}^dag c_{j,+}^dag built from dark modes
-    and g_n = 1 / prod_{m=1..n} (mu~ - m e_c / L); the series terminates on
+    P^dag the :func:`pair_creation` operator of the dark modes c_{j,+} and
+    g_n = 1 / prod_{m=1..n} (mu~ - m e_c / L); the series terminates on
     its own when no further pair fits (and at half filling on even rings,
     where the two maximal tilings cancel).
     """
     L, e_c = system.L, system.e_c
     mu_tilde = complex(system.mu, 0.5 * system.kappa)
-    dark = system.dark_ops()
-    dim = 1 << (2 * L)
-    pair_raise = sp.csr_matrix((dim, dim), dtype=complex)
-    D = system.pairing.entries
-    for i in range(L):
-        for j in range(i + 1, L):
-            if D[i, j] != 0:
-                pair_raise = pair_raise + (2.0 * D[i, j]) * (
-                    dag(dark[i]) @ dag(dark[j])
-                )
-    psi = np.zeros(dim, dtype=complex)
+    pair_raise = pair_creation(system.pairing.entries, system.dark_ops())
+    psi = np.zeros(1 << (2 * L), dtype=complex)
     psi[0] = 1.0
-    component = np.zeros(dim, dtype=complex)
-    component[0] = 1.0
+    component = psi.copy()
     coeff = 1.0 + 0j
     for n in range(1, L // 2 + 1):
         component = pair_raise @ component
@@ -446,16 +443,11 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
-    times: np.ndarray
-    values: np.ndarray
-
-
 def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
                          X: sp.csr_matrix, Y: sp.csr_matrix,
-                         times: np.ndarray) -> CorrelationSeries:
-    """<X(t) Y(0)> on a uniform time grid via quantum regression.
+                         times: np.ndarray) -> np.ndarray:
+    """<X(t) Y(0)> on a uniform time grid via quantum regression, one value
+    per entry of ``times``.
 
     Propagates vec(Y rho_ss) with the error-controlled sparse
     matrix-exponential action and traces against X at each grid point.
@@ -471,36 +463,22 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
     steps = np.diff(times)
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
         raise ValueError("times must be uniformly spaced")
-    v0 = vec(Y @ rho_ss)
-    values = _evolve_traces(liouv.matrix, v0, times, [X])[:, 0]
-    return CorrelationSeries(times=times, values=values)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Incoherent pump D[c_site^dag] with rate gamma_p on one site (1-based)."""
-
-    site: int = 1
-    gamma_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.gamma_p < math.inf:  # also rejects nan
-            raise ValueError(f"gamma_p must be >= 0 and finite, "
-                             f"got {self.gamma_p}")
+    return _evolve_traces(liouv.matrix, vec(Y @ rho_ss), times, [X])[:, 0]
 
 
 @dataclass(frozen=True)
 class HtrsReport:
     gamma_values: np.ndarray
     asymmetry: np.ndarray          # max_t |<c_i(t)c_j(0)> + <c_j(t)c_i(0)>|
-    h_eff_mismatch: float          # max_t |<H_eff(t)c_j(0)> - <c_j(t)H_eff(0)>|
 
     @property
     def monotone(self) -> bool:
         return bool(np.all(np.diff(self.asymmetry) > 0))
 
 
-def _single_system(params: ModelParams):
+def single_system(params: ModelParams):
+    """Annihilators and Hamiltonian of the nearest-neighbour chain
+    ``params`` on its L modes (no absorber)."""
     p = validate_params(params)
     ops = build_operators(p.L)
     H = build_hamiltonian(nearest_neighbor_pairing(p.L, p.delta, p.bc),
@@ -514,8 +492,8 @@ class HtrsPoint:
 
     liouv: SuperOperator
     rho: np.ndarray
-    forward: CorrelationSeries     # <c_i(t) c_j(0)>
-    reversed: CorrelationSeries    # <c_j(t) c_i(0)>
+    forward: np.ndarray     # <c_i(t) c_j(0)>
+    reversed: np.ndarray    # <c_j(t) c_i(0)>
 
 
 def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
@@ -542,31 +520,25 @@ def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
     )
 
 
-def htrs_breaking(params: ModelParams, pert: PerturbationSpec,
-                  times: np.ndarray, sites: tuple[int, int] = (1, 2),
+def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
+                  sites: tuple[int, int] = (1, 2), pump_site: int = 1,
                   gamma_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)) -> HtrsReport:
     """Pair-swap asymmetry of <c_i(t) c_j(0)> under weak incoherent pumping.
 
-    For each pump rate in ``gamma_fractions * pert.gamma_p`` the steady state
-    of the perturbed Lindbladian is recomputed and the forward and reversed
-    correlators compared; without pumping the sum vanishes (Onsager
-    antisymmetry for odd jump operators), with pumping it does not.
+    For each pump rate in ``gamma_fractions * gamma_p`` the steady state of
+    the Lindbladian with the pump D[c^dag] on ``pump_site`` (1-based) is
+    recomputed and the forward and reversed correlators compared; without
+    pumping the sum vanishes (Onsager antisymmetry for odd jump operators),
+    with pumping it does not.  ``htrs_point`` rejects a negative or
+    non-finite rate.
     """
-    ops, H = _single_system(params)
-    gammas = np.array(sorted({f * pert.gamma_p for f in gamma_fractions}))
+    ops, H = single_system(params)
+    gammas = np.array(sorted({f * gamma_p for f in gamma_fractions}))
     asym = []
-    h_eff = H - (0.5j * params.kappa) * total_number(params.L)
-    c_j = ops[sites[1] - 1]
-    h_mismatch = 0.0
     for g in gammas:
-        pt = htrs_point(ops, H, params.kappa, g, times, sites, pert.site)
-        asym.append(float(np.abs(pt.forward.values + pt.reversed.values).max()))
-        if g == 0.0:
-            a = two_time_correlation(pt.liouv, pt.rho, h_eff, c_j, times)
-            b = two_time_correlation(pt.liouv, pt.rho, c_j, h_eff, times)
-            h_mismatch = float(np.abs(a.values - b.values).max())
-    return HtrsReport(gamma_values=gammas, asymmetry=np.array(asym),
-                      h_eff_mismatch=h_mismatch)
+        pt = htrs_point(ops, H, params.kappa, g, times, sites, pump_site)
+        asym.append(float(np.abs(pt.forward + pt.reversed).max()))
+    return HtrsReport(gamma_values=gammas, asymmetry=np.array(asym))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ RESIDUAL_TOL = 1e-12
 # far above the ~60 halvings that take a bracket to float resolution, where
 # the equal-area bisection stops on its own
 MAX_BISECTIONS = 200
+MAX_EDGE_DOUBLINGS = 40  # of the step in from a fold (maxwell_transition)
 # Gauss-Legendre nodes per panel of the equal-area rule, and the number of
 # times its panels are halved toward the square-root end (see _root_area)
 GAUSS_NODES = 16
@@ -275,13 +276,16 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
 
     Bisects on the sign of :func:`maxwell_area` inside the fold window
     until the bracket is narrower than ``tol`` (> 0) or at float
-    resolution.  At e_c < 0 it returns -maxwell_transition(delta, -e_c,
-    kappa), the mirror image.
+    resolution.  Each bracket end starts 1e-9 inside its fold and doubles
+    that step, at most MAX_EDGE_DOUBLINGS times, until it has three roots.
+    At e_c < 0 it returns -maxwell_transition(delta, -e_c, kappa), the
+    mirror image.
 
     Raises
     ------
     NoBistableWindowError
-        If no three-root window exists for any mu.
+        If no three-root window exists for any mu, or a bracket end finds
+        none within MAX_EDGE_DOUBLINGS doublings.
     IterationLimitError
         If MAX_BISECTIONS halvings do not finish.
     """
@@ -294,20 +298,28 @@ def maxwell_transition(delta: float, e_c: float, kappa: float,
         return -maxwell_transition(delta, -e_c, kappa, tol)
     mu_lo, mu_hi = _fold_window(delta, e_c, kappa)
 
-    def area(mu_star):
-        return maxwell_area(mu_star, delta, e_c, kappa)
+    def interior(edge, step):
+        # exactly at a fold the outer roots merge; at kappa = 0 two roots
+        # also sit within solve_roots' dedupe just inside the upper fold
+        for _ in range(MAX_EDGE_DOUBLINGS + 1):
+            mu = edge + step
+            try:
+                return mu, maxwell_area(mu, delta, e_c, kappa)
+            except NoBistableWindowError:
+                step *= 2.0
+        raise NoBistableWindowError(f"no three roots next to the fold at "
+                                    f"mu={edge!r}")
 
-    # interior endpoints: exactly at a fold the outer roots merge
     eps = 1e-9 * max(1.0, abs(mu_hi - mu_lo))
-    a, b = mu_lo + eps, mu_hi - eps
-    fa, fb = area(a), area(b)
+    a, fa = interior(mu_lo, eps)
+    b, fb = interior(mu_hi, -eps)
     if fa * fb > 0:
         raise NoBistableWindowError("equal-area condition has no sign change")
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (a + b)
         if b - a <= tol or mid in (a, b):
             return mid
-        fm = area(mid)
+        fm = maxwell_area(mid, delta, e_c, kappa)
         if fa * fm <= 0:
             b, fb = mid, fm
         else:

@@ -245,11 +245,14 @@ def interaction_breakdown(p: float, beta_coh: complex, e_c: float,
                           kappa: float) -> BreakdownReport:
     """Exact one-generator-action comparison for a single momentum pair.
 
-    Builds the two-mode fermion density matrix with pair population p and
-    coherence beta, applies the loss generator once, and compares the
-    change of the charging energy against the mapped spin Hamiltonian under
-    loss plus quarter dephasing.  The fermion energy drops 3/2 times faster:
-    breaking a pair leaves single fermions the spin model cannot represent.
+    The fermion side is the (k, -k) Fock space with the fock charging
+    Hamiltonian (e_c/4)(n_1 + n_2)^2 under loss; the spin side is one mode
+    occupied when the pair is present (sigma^- its annihilator, h = e_c n)
+    under loss plus quarter dephasing by the parity operator -sigma^z.  Both
+    states have pair population p and coherence beta, and both energy
+    changes Tr(h L rho) use ``fock.build_liouvillian``.  The fermion energy
+    drops 3/2 times faster: breaking a pair leaves single fermions the spin
+    model cannot represent.
     """
     from . import fock
 
@@ -257,35 +260,25 @@ def interaction_breakdown(p: float, beta_coh: complex, e_c: float,
         raise InvalidStateError(f"population p={p} outside [0, 1]")
     if abs(beta_coh) > math.sqrt(p * (1.0 - p)) + 1e-15:
         raise InvalidStateError("coherence exceeds sqrt(p(1-p))")
-    # fermion side: modes (k, -k) as a 2-mode Fock space
+
+    def energy_change(h, jumps, rates, empty, full):
+        rho = ((1.0 - p) * np.outer(empty, empty.conj())
+               + p * np.outer(full, full.conj())
+               + beta_coh * np.outer(full, empty.conj())
+               + np.conj(beta_coh) * np.outer(empty, full.conj()))
+        liouv = fock.build_liouvillian(h, jumps, rates)
+        drho = fock.unvec(liouv.matrix @ fock.vec(rho))
+        return float(np.trace(h @ drho).real)
+
     ops = fock.build_operators(2)
-    c1, c2 = ops[0].toarray(), ops[1].toarray()
-    n1, n2 = c1.conj().T @ c1, c2.conj().T @ c2
-    h_fermi = (e_c / 4.0) * (n1 + n2 + 2.0 * n1 @ n2)
-    vac = np.zeros(4, dtype=complex)
-    vac[0] = 1.0
-    pair = (c1.conj().T @ c2.conj().T) @ vac
-    rho = ((1.0 - p) * np.outer(vac, vac.conj())
-           + p * np.outer(pair, pair.conj())
-           + beta_coh * np.outer(pair, vac.conj())
-           + np.conj(beta_coh) * np.outer(vac, pair.conj()))
-    drho = -1j * (h_fermi @ rho - rho @ h_fermi)
-    for c in (c1, c2):
-        cd = c.conj().T
-        drho += kappa * (c @ rho @ cd - 0.5 * (cd @ c @ rho + rho @ cd @ c))
-    dh_fermi = float(np.trace(h_fermi @ drho).real)
-    # spin side: 2x2 with |up> = pair present
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-    h_spin = (e_c / 2.0) * (sz + np.eye(2))
-    rho_s = np.array([[p, beta_coh], [np.conj(beta_coh), 1.0 - p]],
-                     dtype=complex)
-    drho_s = -1j * (h_spin @ rho_s - rho_s @ h_spin)
-    drho_s += kappa * (sm @ rho_s @ sm.conj().T
-                       - 0.5 * (sm.conj().T @ sm @ rho_s
-                                + rho_s @ sm.conj().T @ sm))
-    drho_s += 0.25 * kappa * (sz @ rho_s @ sz - rho_s)
-    dh_spin = float(np.trace(h_spin @ drho_s).real)
+    vac = np.eye(4, dtype=complex)[0]
+    dh_fermi = energy_change(
+        fock.build_hamiltonian(np.zeros((2, 2)), 0.0, e_c, ops), ops, kappa,
+        vac, fock.dag(ops[0]) @ (fock.dag(ops[1]) @ vac))
+    (sm,) = fock.build_operators(1)
+    dh_spin = energy_change(
+        e_c * fock.number_operators([sm])[0], [sm, fock.parity_operator(1)],
+        [kappa, 0.25 * kappa], *np.eye(2, dtype=complex))
     degenerate = p == 0.0
     ratio = float("nan") if degenerate else dh_fermi / dh_spin
     return BreakdownReport(p=p, beta_coh=beta_coh, dh_fermion=dh_fermi,

@@ -1,10 +1,11 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cqa_fermi import fock, pseudospin as ps
+from cqa_fermi import fock, pseudospin as ps, thermo
 from cqa_fermi.core import PBC, ModelParams
 
 
@@ -48,3 +49,20 @@ def cqa_state_and_system(params: ModelParams):
     system = fock.build_doubled_system(params)
     psi = fock.build_cqa_state(system)
     return psi, system
+
+
+@functools.cache
+def invert_critical_line(delta: float, kappa: float) -> float:
+    """mu where the full-mode critical line delta_crit(mu) reaches delta.
+
+    30 halvings of mu in [0.05, 0.49]; cached, so each (delta, kappa) is
+    inverted once per pytest run however many tests ask for it.
+    """
+    lo, hi = 0.05, 0.49
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if thermo.critical_delta(mid, kappa=kappa, mode="full") < delta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

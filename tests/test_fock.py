@@ -57,6 +57,19 @@ class TestOperators:
             fock.build_operators(17)
 
 
+class TestPairCreation:
+    @pytest.mark.parametrize("bc", [PBC, OBC])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_matches_hand_built_dark_raiser(self, L, bc):
+        # at delta = 1 every bond has 2 D_ij = 1, so P is the plain sum of
+        # d_j^dag d_{j+1}^dag that conftest builds independently
+        system = fock.build_doubled_system(
+            ModelParams(L=L, bc=bc, mu=0.2, delta=1.0, e_c=1.0, kappa=0.1))
+        P = fock.pair_creation(nearest_neighbor_pairing(L, 1.0, bc).entries,
+                               system.dark_ops())
+        assert (P != dark_pair_operator(system, bc)).nnz == 0
+
+
 def term_sum_doubled_hamiltonian(p, absorber_mu):
     """Absorber-doubled Hamiltonian added up term by term into one matrix:
     the physical block, minus the absorber block at ``absorber_mu``, plus
@@ -144,7 +157,7 @@ class TestLiouvillian:
 
     def test_unique_zero_eigenvalue(self):
         p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.1)
-        ops, H = fock._single_system(p)
+        ops, H = fock.single_system(p)
         liouv = fock.build_liouvillian(H, ops, p.kappa)
         w = fock.smallest_eigenvalues(liouv, k=4)
         assert np.sum(np.abs(w) < 1e-10) == 1
@@ -180,7 +193,7 @@ class TestSteadyState:
         for kappa in (0.05, 0.2, 0.8, 3.0):
             p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.2, e_c=1.0,
                             kappa=kappa)
-            ops, H = fock._single_system(p)
+            ops, H = fock.single_system(p)
             rho = fock.steady_state(fock.build_liouvillian(H, ops, kappa))
             n = fock.total_number(4)
             dens.append(float(np.sum((n @ rho).diagonal()).real) / 4)
@@ -211,12 +224,12 @@ class TestCqaState:
         occ = np.bitwise_count(np.arange(psi.size, dtype=np.uint32))
         norm_sq = np.vdot(psi, psi).real
         total = sum(abs(alpha[n]) ** 2
-                    * (count_pbc if bc == PBC else count_obc)(L, n).value
+                    * (count_pbc if bc == PBC else count_obc)(L, n)
                     for n in range(tbl.n_max + 1))
         for n in range(tbl.n_max + 1):
             comp = psi[occ == 2 * n]
             expected = abs(alpha[n]) ** 2 * (
-                count_pbc if bc == PBC else count_obc)(L, n).value / total
+                count_pbc if bc == PBC else count_obc)(L, n) / total
             assert np.vdot(comp, comp).real * norm_sq == pytest.approx(
                 expected * norm_sq, abs=1e-12)
 
@@ -290,7 +303,7 @@ class TestPartialTrace:
                                 kappa=0.1)
                 psi, _ = cqa_state_and_system(p)
                 rho_cqa = fock.partial_trace_absorber(psi)
-                ops, H = fock._single_system(p)
+                ops, H = fock.single_system(p)
                 rho_ss = fock.steady_state(
                     fock.build_liouvillian(H, ops, p.kappa))
                 assert fock.trace_distance(rho_cqa, rho_ss) < 1e-8
@@ -300,7 +313,7 @@ class TestTwoTimeCorrelation:
     def setup_method(self):
         self.p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0,
                              kappa=0.01)
-        self.ops, H = fock._single_system(self.p)
+        self.ops, H = fock.single_system(self.p)
         self.liouv = fock.build_liouvillian(H, self.ops, self.p.kappa)
         self.rho = fock.steady_state(self.liouv)
         self.times = np.linspace(0.0, 200.0, 101)
@@ -310,14 +323,14 @@ class TestTwoTimeCorrelation:
                                         self.ops[1], self.times)
         rev = fock.two_time_correlation(self.liouv, self.rho, self.ops[1],
                                         self.ops[0], self.times)
-        assert abs(fwd.values[0] + rev.values[0]) < 1e-14
+        assert abs(fwd[0] + rev[0]) < 1e-14
 
     def test_onsager_antisymmetry_all_times(self):
         fwd = fock.two_time_correlation(self.liouv, self.rho, self.ops[0],
                                         self.ops[1], self.times)
         rev = fock.two_time_correlation(self.liouv, self.rho, self.ops[1],
                                         self.ops[0], self.times)
-        assert np.abs(fwd.values + rev.values).max() < 1e-10
+        assert np.abs(fwd + rev).max() < 1e-10
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -329,26 +342,26 @@ class TestHtrsBreaking:
     def test_pumping_breaks_antisymmetry_monotonically(self):
         p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
         times = np.linspace(0.0, 300.0, 121)
-        rep = fock.htrs_breaking(
-            p, fock.PerturbationSpec(site=1, gamma_p=0.1 * p.kappa), times)
+        rep = fock.htrs_breaking(p, 0.1 * p.kappa, times)
         assert rep.asymmetry[0] < 1e-10
         assert rep.asymmetry[-1] > 1e-6
         assert rep.asymmetry[-1] > 1e3 * rep.asymmetry[0]
         assert rep.monotone
-        assert rep.h_eff_mismatch < 1e-9
 
     def test_negative_rate_rejected(self):
+        p = ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
         with pytest.raises(ValueError):
-            fock.PerturbationSpec(site=1, gamma_p=-0.1)
+            fock.htrs_breaking(p, -0.1, np.linspace(0.0, 1.0, 3))
 
     @pytest.mark.parametrize("gamma_p", [math.inf, math.nan])
     def test_non_finite_rate_rejected(self, gamma_p):
+        p = ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        times = np.linspace(0.0, 1.0, 3)
         with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
-            fock.PerturbationSpec(site=1, gamma_p=gamma_p)
-        ops, H = fock._single_system(
-            ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01))
+            fock.htrs_breaking(p, gamma_p, times)
+        ops, H = fock.single_system(p)
         with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
-            fock.htrs_point(ops, H, 0.01, gamma_p, np.linspace(0.0, 1.0, 3))
+            fock.htrs_point(ops, H, 0.01, gamma_p, times)
 
 
 def full_space_traces(liouv, v0, times, observables):
@@ -387,7 +400,7 @@ class TestParitySector:
 
     def system(self, gamma_p, extra_jump=None):
         p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.02)
-        ops, H = fock._single_system(p)
+        ops, H = fock.single_system(p)
         jumps, rates = list(ops), [p.kappa] * 4
         if gamma_p > 0:
             jumps.append(fock.dag(ops[0]))
@@ -417,9 +430,13 @@ class TestParitySector:
         idx = fock._sector(liouv.matrix, v0)
         assert idx.size == 128
         assert not np.delete(v0, idx).any()  # the half holding vec(Y rho)
-        got = fock.two_time_correlation(liouv, rho, X, Y, self.times).values
+        got = fock.two_time_correlation(liouv, rho, X, Y, self.times)
         ref = full_space_traces(liouv, v0, self.times, [X])[:, 0]
         assert_close_relative(got, ref)
+        if pair != "odd":
+            # H_eff is even and c_j odd, so parity superselection makes
+            # <H_eff(t) c_j(0)> and <c_j(t) H_eff(0)> exactly zero
+            assert not got.any()
 
     def test_zero_start_vector_takes_one_half(self):
         # c_1 annihilates the vacuum, so vec(Y rho) is exactly zero: it lies
@@ -433,7 +450,7 @@ class TestParitySector:
         even = fock._sector(liouv.matrix, x0)
         assert np.array_equal(fock._sector(liouv.matrix, v0), even)
         got = fock.two_time_correlation(liouv, rho, ops[0], ops[1],
-                                        self.times).values
+                                        self.times)
         assert got.shape == self.times.shape and not got.any()
 
     def test_mixed_y_uses_full_space(self):
@@ -443,7 +460,7 @@ class TestParitySector:
         v0 = fock.vec(Y @ rho)
         assert fock._sector(liouv.matrix, v0).size == 256
         got = fock.two_time_correlation(liouv, rho, ops[0], Y,
-                                        self.times).values
+                                        self.times)
         assert_close_relative(
             got, full_space_traces(liouv, v0, self.times, [ops[0]])[:, 0])
 
@@ -454,7 +471,7 @@ class TestParitySector:
         v0 = fock.vec(ops[1] @ rho)
         assert fock._sector(liouv.matrix, v0).size == 256
         got = fock.two_time_correlation(liouv, rho, ops[0], ops[1],
-                                        self.times).values
+                                        self.times)
         assert_close_relative(
             got, full_space_traces(liouv, v0, self.times, [ops[0]])[:, 0])
 
@@ -485,13 +502,13 @@ class TestParitySector:
 def test_onsager_at_figure_size():
     """Optional L=8 run (evolution-fallback steady state, ~1 minute)."""
     p = ModelParams(L=8, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
-    ops, H = fock._single_system(p)
+    ops, H = fock.single_system(p)
     liouv = fock.build_liouvillian(H, ops, p.kappa)
     rho = fock.steady_state(liouv)
     times = np.linspace(0.0, 100.0, 26)
     fwd = fock.two_time_correlation(liouv, rho, ops[0], ops[1], times)
     rev = fock.two_time_correlation(liouv, rho, ops[1], ops[0], times)
-    assert np.abs(fwd.values + rev.values).max() < 1e-10
+    assert np.abs(fwd + rev).max() < 1e-10
 
 
 class TestCascadeNonreciprocity:

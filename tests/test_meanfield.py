@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cqa_fermi import cli, fock, meanfield as mf, steadystate as ss, thermo
+from cqa_fermi import cli, fock, meanfield as mf, steadystate as ss
 from cqa_fermi.core import PBC, ModelParams, nearest_neighbor_pairing
 from cqa_fermi.errors import NoBistableWindowError
+from conftest import invert_critical_line
 
 
 class TestResidual:
@@ -99,7 +100,7 @@ class TestMaxwell:
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
     def test_does_not_predict_exact_transition(self, delta):
         mu_star = mf.maxwell_transition(delta, 1.0, 0.01)
-        mu_exact = _exact_transition_mu(delta, kappa=0.01)
+        mu_exact = invert_critical_line(delta, kappa=0.01)
         assert abs(mu_star - mu_exact) > 1e-3
 
     def test_window_closes_at_strong_dissipation(self):
@@ -124,6 +125,29 @@ class TestMaxwell:
     ])
     def test_bytes_pinned(self, delta, mu_star):
         assert mf.maxwell_transition(delta, 1.0, 0.01) == mu_star
+
+    # at kappa = 0 the two upper roots meet within solve_roots' dedupe just
+    # inside the upper fold; these points need 1, 2, 2, 4 and 1 doublings of
+    # the step in from that edge
+    @pytest.mark.parametrize("delta,e_c", [
+        (0.02, 1.0), (0.05, 1.0), (0.15, 1.0), (0.005, 0.5), (0.05, 0.5),
+    ])
+    def test_kappa_zero_continuous(self, delta, e_c):
+        assert mf.maxwell_transition(delta, e_c, 0.0) == pytest.approx(
+            mf.maxwell_transition(delta, e_c, 1e-6), abs=2e-8)
+
+    def test_edge_doublings_bounded(self, monkeypatch):
+        monkeypatch.setattr(mf, "MAX_EDGE_DOUBLINGS", 0)
+        with pytest.raises(NoBistableWindowError, match="next to the fold"):
+            mf.maxwell_transition(0.02, 1.0, 0.0)
+
+    @pytest.mark.parametrize("delta", ["0.02", "0.05"])
+    def test_cli_kappa_zero(self, tmp_path, delta):
+        out = tmp_path / "mf.csv"
+        assert cli.main(["mean-field", "--mu", "0.2", "--delta", delta,
+                         "--kappa", "0", "--maxwell",
+                         "--output", str(out)]) == cli.EXIT_OK
+        assert "maxwell_mu" in cli.read_header(str(out)).summary
 
     @pytest.mark.parametrize("e_c", [1.4, 2.0])
     def test_window_above_first_scan(self, tmp_path, e_c):
@@ -227,17 +251,6 @@ class TestEqualAreaRule:
         n1, n3, delta = 0.01, 0.4, 0.05
         exact = 2 * delta * (np.sqrt(n3 * (1 - n3)) - np.sqrt(n1 * (1 - n1)))
         assert abs(mf._root_area(n1, n3, delta, 0.0) - exact) < AREA_TOL
-
-
-def _exact_transition_mu(delta, kappa, lo=0.05, hi=0.49):
-    """Invert the critical line: mu where delta_crit(mu) = delta."""
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if thermo.critical_delta(mid, kappa=kappa, mode="full") < delta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestModeOccupation:
