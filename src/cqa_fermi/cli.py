@@ -432,9 +432,13 @@ COMMANDS = {
             Flag("delta", "float", 0.3, ">= 0", "pairing amplitude"),
             Flag("e_c", "float", 0.0, "finite", "charging energy"),
             Flag("kappa", "float", 0.01, "> 0", "loss rate"),
-            Flag("t_final", "float", 500.0, "> 0", "integration time"),
+            Flag("t_final", "float", 500.0, "> 0",
+                 "integration time: n = ceil(t_final / dt) RK4 steps"),
             Flag("dt", "float", 0.008, "> 0", "RK4 step"),
-            Flag("samples", "int", 251, ">= 2", "recorded time points"),
+            Flag("samples", "int", 251, ">= 2",
+                 "a row at step 0 and every (n // (samples - 1))-th step, "
+                 "so the rows and the last time can differ from samples "
+                 "and t_final"),
         )),
     "verify": Command(
         _cmd_verify, "run the small-system oracle checks", (

@@ -83,7 +83,8 @@ def enumerate_dimers(L: int, n: int, bc: str = OBC) -> list[tuple[int, ...]]:
         ok = True
         for s in combo:
             t = s % L + 1  # right endpoint, wrapping on the ring
-            if s in covered or t in covered:
+            # t == s only on a one-site ring, which has no bond
+            if s in covered or t in covered or t == s:
                 ok = False
                 break
             covered.add(s)

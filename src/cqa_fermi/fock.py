@@ -496,6 +496,11 @@ class HtrsPoint:
     reversed: np.ndarray    # <c_j(t) c_i(0)>
 
 
+def _check_pump_rate(gamma_p: float) -> None:
+    if not 0 <= gamma_p < math.inf:  # also rejects nan
+        raise ValueError(f"gamma_p must be >= 0 and finite, got {gamma_p}")
+
+
 def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
                gamma_p: float, times: np.ndarray, sites: tuple[int, int] = (1, 2),
                pump_site: int = 1) -> HtrsPoint:
@@ -503,8 +508,7 @@ def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
     D[c_site^dag] at rate ``gamma_p`` on ``pump_site``: the Liouvillian, its
     steady state and <c_i(t) c_j(0)>, <c_j(t) c_i(0)> for (i, j) = ``sites``
     (1-based)."""
-    if not 0 <= gamma_p < math.inf:  # also rejects nan
-        raise ValueError(f"gamma_p must be >= 0 and finite, got {gamma_p}")
+    _check_pump_rate(gamma_p)
     i, j = sites[0] - 1, sites[1] - 1
     jumps = list(ops)
     rates = [kappa] * len(ops)
@@ -529,9 +533,10 @@ def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
     the Lindbladian with the pump D[c^dag] on ``pump_site`` (1-based) is
     recomputed and the forward and reversed correlators compared; without
     pumping the sum vanishes (Onsager antisymmetry for odd jump operators),
-    with pumping it does not.  ``htrs_point`` rejects a negative or
-    non-finite rate.
+    with pumping it does not.  A negative or non-finite ``gamma_p`` is
+    rejected before any point is computed.
     """
+    _check_pump_rate(gamma_p)
     ops, H = single_system(params)
     gammas = np.array(sorted({f * gamma_p for f in gamma_fractions}))
     asym = []

@@ -184,6 +184,22 @@ class TestCommands:
                 if not l.startswith("#")]
         assert len(rows) >= 5
 
+    @pytest.mark.parametrize("flags,n_rows,last", [
+        ("--L 4 --t-final 1 --samples 7", 7, 0.96),
+        ("--t-final 0.05 --samples 5", 8, 0.056),
+        ("--L 512 --t-final 25", 261, 24.96),  # the benchmark's op
+    ])
+    def test_tfim_sampling_rule(self, tmp_path, flags, n_rows, last):
+        # known defect, pinned until a benchmark change mends it: a row is
+        # written every stride-th of n = ceil(t_final / dt) steps, with
+        # stride = n // (samples - 1), so neither samples nor t_final holds
+        out = tmp_path / "tf.csv"
+        assert run(["tfim", *flags.split(), "--output", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()
+                if not l.startswith("#")]
+        assert len(rows) == n_rows
+        assert float(rows[-1][0]) == last
+
     def test_htrs_smoke(self, tmp_path):
         out = tmp_path / "ht.csv"
         assert run(["htrs", "--L", "4", "--t-final", "50", "--samples", "6",

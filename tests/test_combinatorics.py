@@ -61,6 +61,13 @@ class TestEnumeration:
     def test_impossible_placement_is_empty(self):
         assert enumerate_dimers(3, 2, OBC) == []
 
+    def test_one_site_ring_has_no_dimer(self):
+        # its only bond would join site 1 to itself; count_pbc(1, 1) raises
+        assert enumerate_dimers(1, 1, PBC) == []
+        assert enumerate_dimers(1, 1, OBC) == []
+        with pytest.raises(OutOfRangeError):
+            count_pbc(1, 1)
+
     def test_guard(self):
         with pytest.raises(TooLargeError):
             enumerate_dimers(30, 2, OBC)

@@ -363,6 +363,14 @@ class TestHtrsBreaking:
         with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
             fock.htrs_point(ops, H, 0.01, gamma_p, times)
 
+    @pytest.mark.parametrize("gamma_p", [-1.0, math.inf, math.nan])
+    def test_rate_checked_when_only_zero_is_pumped(self, gamma_p):
+        # 0 * gamma_p is a valid rate (or nan), so the check must come first
+        p = ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        with pytest.raises(ValueError, match="gamma_p must be >= 0 and finite"):
+            fock.htrs_breaking(p, gamma_p, np.linspace(0.0, 1.0, 3),
+                               gamma_fractions=(0.0,))
+
 
 def full_space_traces(liouv, v0, times, observables):
     """The full-space path: exp(A t) v0 on every index, traced per point."""

@@ -344,6 +344,40 @@ class TestRk4:
             assert np.array_equal(ds[5 * t:5 * t + 5], one[0])
             assert np.array_equal(dz[5 * t:5 * t + 5], one[1])
 
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("K", [1, 5, 150])
+    @pytest.mark.parametrize("e_c,fs", [
+        ((1.0, -0.6, 0.3), (1.0, 0.0, 1.0)),  # pair-breaking term kept
+        ((1.0, 0.5, -2.0), (0.0, 0.0, 0.0)),  # spin closures only
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)),   # fermion closure at e_c = 0
+    ])
+    def test_one_step_equals_public_rhs(self, T, K, e_c, fs):
+        # records[:, 1] of one step is s + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+        # with every slope from the public RHS, bit for bit
+        rng = np.random.default_rng(10 * T + K)
+        L, dt = 2.0 * K, 0.008
+        st = [_random_moments(2 * K, seed) for seed in rng.integers(99, size=T)]
+        s = np.concatenate([sm for sm, _ in st])
+        z = np.concatenate([sz for _, sz in st])
+        dk = np.tile(0.3 * np.sin(ps.momentum_grid(2 * K)), T)
+        params = (rng.uniform(-0.3, 0.3, T), np.array(e_c[:T]),
+                  rng.uniform(0.005, 0.05, T), L, np.array(fs[:T]))
+
+        def rhs(s, z):
+            return kernels.moment_rhs(s, z, dk, *params)
+
+        k1 = rhs(s, z)
+        k2 = rhs(s + dt / 2 * k1[0], z + dt / 2 * k1[1])
+        k3 = rhs(s + dt / 2 * k2[0], z + dt / 2 * k2[1])
+        k4 = rhs(s + dt * k3[0], z + dt * k3[1])
+        want = [x + dt / 6 * (a + 2 * b + 2 * c + d)
+                for x, a, b, c, d in zip((s, z), k1, k2, k3, k4)]
+        rec = kernels.rk4_moments(s, z, dk, *params, dt, 1, 1)
+        for got, ref in zip(rec, want):
+            assert got.shape == (T, 2, K)
+            assert np.array_equal(_int_view(got[:, 1]),
+                                  _int_view(ref.reshape(T, K)))
+
     def test_uneven_split_rejected(self):
         with pytest.raises(ValueError):
             kernels.rk4_moments(np.zeros(5, dtype=complex), -np.ones(5),
@@ -362,6 +396,11 @@ class TestRk4:
         assert cli.main(["tfim", *argv.split(), "--output", str(out)]) == 0
         assert normalize(out.read_text()) == normalize(
             (DATA / name).read_text())
+
+
+def _int_view(a):
+    """The bits of a float or complex array, so that -0.0 != +0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def _random_moments(L, seed):
