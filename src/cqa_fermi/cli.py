@@ -10,7 +10,8 @@ Each flag is declared once, in :data:`COMMANDS`, which builds the parser,
 checks every value's domain when the arguments are parsed, and orders the
 flags the header records.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-guard trip.
+Exit codes: 0 success, 2 validation error (or an output that cannot be
+written), 3 numerical-guard trip.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ def fmt(x) -> str:
     """17-significant-digit decimal rendering of one value."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
     return f"{float(x):.17g}"
 
 
@@ -278,8 +277,9 @@ def _cmd_htrs(args):
         kappa=args.kappa))
     rows = []
     for g in parse_grid(args.gamma_p):
-        pt = fock.htrs_point(ops, H, args.kappa, float(g), times)
-        for t, a, b in zip(times, pt.forward, pt.reversed):
+        forward, reversed_ = fock.htrs_point(ops, H, args.kappa, float(g),
+                                             times)
+        for t, a, b in zip(times, forward, reversed_):
             rows.append((g, t, a.real, a.imag, b.real, b.imag, abs(a + b)))
     return (["gamma_p", "time", "re_forward", "im_forward", "re_reversed",
              "im_reversed", "abs_sum"], rows, {})
@@ -515,7 +515,8 @@ def main(argv=None) -> int:
             IterationLimitError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CqaFermiError, ValueError) as exc:
+    except (CqaFermiError, ValueError, OSError) as exc:
+        # OSError: the output cannot be written (e.g. it is a directory)
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -45,11 +45,6 @@ class ModelParams:
     e_c: float = 0.0
     kappa: float = 0.0
 
-    @property
-    def mu_tilde(self) -> complex:
-        """Complex chemical potential mu + i*kappa/2 (always derived)."""
-        return complex(self.mu, 0.5 * self.kappa)
-
 
 def validate_params(p: ModelParams) -> ModelParams:
     """Check parameter invariants and return the (immutable) params.
@@ -90,15 +85,9 @@ def validate_params(p: ModelParams) -> ModelParams:
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """Antisymmetric pairing matrix with its Frobenius norm.
-
-    ``normalized`` is entries/norm and has unit Frobenius norm; it is the
-    all-zero matrix when the pairing vanishes.
-    """
+    """Antisymmetric pairing matrix, held read-only."""
 
     entries: np.ndarray
-    norm: float
-    normalized: np.ndarray
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "PairingMatrix":
@@ -107,11 +96,8 @@ class PairingMatrix:
             raise ValueError("pairing matrix must be square")
         if not np.array_equal(entries.T, -entries):
             raise ValueError("pairing matrix must be exactly antisymmetric")
-        norm = float(np.linalg.norm(entries))
-        normalized = entries / norm if norm > 0 else np.zeros_like(entries)
         entries.setflags(write=False)
-        normalized.setflags(write=False)
-        return cls(entries=entries, norm=norm, normalized=normalized)
+        return cls(entries=entries)
 
 
 def nearest_neighbor_pairing(L: int, delta: float, bc: str = PBC) -> PairingMatrix:

@@ -6,7 +6,8 @@ creation operator shared by the Hamiltonians (arbitrary antisymmetric
 pairing, global charging energy) and the absorber-doubled pure state, the
 vectorized Liouvillian (also behind ``pseudospin.interaction_breakdown``),
 steady states, the partial trace, two-time correlations via quantum
-regression, and the nonreciprocity checks.  Operators carry no parity
+regression, the hidden-TRS check (fixed site pair (1, 2), pump on site 1)
+and the cascade nonreciprocity check.  Operators carry no parity
 label: the evolutions find the parity-difference half they can stay in
 from their start vector.  Dimensions are deliberately capped; the
 closed-form modules are the production path.
@@ -35,6 +36,15 @@ MAX_MODES = 16
 # default htrs run (two pump rates, 201 times) took 111 s and a 244 MB peak
 # at L = 8 (65536); at L = 9 one 2-point run had not finished after 60 s.
 MAX_LIOUVILLIAN_DIM = 4 ** 8
+# largest vectorized dimension whose steady state comes from a sparse LU;
+# above it ``steady_state`` relaxes by evolution.  On the same VM at L = 7
+# (16384) the LU took 13.1 s and an 800 MB peak, the evolution 5.7 s and
+# 75 MB.
+LU_MAX_DIM = 4096
+# the hidden-TRS checks correlate c_i and c_j at the 1-based sites
+# HTRS_SITES = (i, j) and pump site HTRS_PUMP_SITE
+HTRS_SITES = (1, 2)
+HTRS_PUMP_SITE = 1
 
 
 def _popcounts(dim: int) -> np.ndarray:
@@ -215,7 +225,7 @@ def steady_state(liouv: SuperOperator,
     The iteration starts from the maximally mixed state and runs on the even
     row/column parity-difference half, which then holds the kernel exactly,
     whenever the Liouvillian does not couple it to the odd half; otherwise
-    it runs on the full vectorized space.  Up to 4096 vectorized
+    it runs on the full vectorized space.  Up to LU_MAX_DIM vectorized
     dimensions: shifted inverse iteration on the sparse LU factorization,
     with a spectrum check of the full Liouvillian near zero guarding the
     uniqueness assumption (``degeneracy_check`` defaults to on there).
@@ -233,7 +243,7 @@ def steady_state(liouv: SuperOperator,
     n = A.shape[0]
     d = liouv.hilbert_dim
     if degeneracy_check is None:
-        degeneracy_check = n <= 4096
+        degeneracy_check = n <= LU_MAX_DIM
     if degeneracy_check:
         w = smallest_eigenvalues(liouv, k=min(4, d * d - 2) if d * d > 4 else 2)
         if np.sum(np.abs(w) < 1e-10) >= 2:
@@ -243,7 +253,7 @@ def steady_state(liouv: SuperOperator,
     x0 = vec(np.eye(d, dtype=complex) / d)
     idx = _sector(A, x0)
     As, x = A[idx][:, idx].tocsr(), x0[idx]
-    if n > 4096:
+    if n > LU_MAX_DIM:
         x = _kernel_by_evolution(As, x)
     else:
         lu = spla.splu(
@@ -381,7 +391,7 @@ def build_cqa_state(system: DoubledSystem) -> np.ndarray:
     where the two maximal tilings cancel).
     """
     L, e_c = system.L, system.e_c
-    mu_tilde = complex(system.mu, 0.5 * system.kappa)
+    mu_t = complex(system.mu, 0.5 * system.kappa)
     pair_raise = pair_creation(system.pairing.entries, system.dark_ops())
     psi = np.zeros(1 << (2 * L), dtype=complex)
     psi[0] = 1.0
@@ -391,7 +401,7 @@ def build_cqa_state(system: DoubledSystem) -> np.ndarray:
         component = pair_raise @ component
         if np.linalg.norm(component) == 0.0:
             break
-        coeff = coeff / (mu_tilde - n * e_c / L)
+        coeff = coeff / (mu_t - n * e_c / L)
         psi += (coeff / math.factorial(n)) * component
     return psi / np.linalg.norm(psi)
 
@@ -446,8 +456,8 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
                          X: sp.csr_matrix, Y: sp.csr_matrix,
                          times: np.ndarray) -> np.ndarray:
-    """<X(t) Y(0)> on a uniform time grid via quantum regression, one value
-    per entry of ``times``.
+    """<X(t) Y(0)> on a uniform, strictly increasing time grid from 0 via
+    quantum regression, one value per entry of ``times``.
 
     Propagates vec(Y rho_ss) with the error-controlled sparse
     matrix-exponential action and traces against X at each grid point.
@@ -461,6 +471,8 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
     if times.size < 2 or times[0] != 0.0:
         raise ValueError("times must be a grid starting at 0")
     steps = np.diff(times)
+    if not np.all(steps > 0.0):
+        raise ValueError("times must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
         raise ValueError("times must be uniformly spaced")
     return _evolve_traces(liouv.matrix, vec(Y @ rho_ss), times, [X])[:, 0]
@@ -468,7 +480,6 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
 
 @dataclass(frozen=True)
 class HtrsReport:
-    gamma_values: np.ndarray
     asymmetry: np.ndarray          # max_t |<c_i(t)c_j(0)> + <c_j(t)c_i(0)>|
 
     @property
@@ -486,64 +497,50 @@ def single_system(params: ModelParams):
     return ops, H
 
 
-@dataclass(frozen=True)
-class HtrsPoint:
-    """Steady state and pair-swapped correlators at one pump rate."""
-
-    liouv: SuperOperator
-    rho: np.ndarray
-    forward: np.ndarray     # <c_i(t) c_j(0)>
-    reversed: np.ndarray    # <c_j(t) c_i(0)>
-
-
 def _check_pump_rate(gamma_p: float) -> None:
     if not 0 <= gamma_p < math.inf:  # also rejects nan
         raise ValueError(f"gamma_p must be >= 0 and finite, got {gamma_p}")
 
 
 def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
-               gamma_p: float, times: np.ndarray, sites: tuple[int, int] = (1, 2),
-               pump_site: int = 1) -> HtrsPoint:
+               gamma_p: float, times: np.ndarray):
     """Loss ``kappa`` on every mode plus, for ``gamma_p`` > 0, the pump
-    D[c_site^dag] at rate ``gamma_p`` on ``pump_site``: the Liouvillian, its
-    steady state and <c_i(t) c_j(0)>, <c_j(t) c_i(0)> for (i, j) = ``sites``
-    (1-based)."""
+    D[c^dag] at rate ``gamma_p`` on site HTRS_PUMP_SITE = 1: the pair
+    (<c_i(t) c_j(0)>, <c_j(t) c_i(0)>) in the steady state, for the fixed
+    sites (i, j) = HTRS_SITES = (1, 2) (1-based)."""
     _check_pump_rate(gamma_p)
-    i, j = sites[0] - 1, sites[1] - 1
+    i, j = HTRS_SITES[0] - 1, HTRS_SITES[1] - 1
     jumps = list(ops)
     rates = [kappa] * len(ops)
     if gamma_p > 0:
-        jumps.append(dag(ops[pump_site - 1]))
+        jumps.append(dag(ops[HTRS_PUMP_SITE - 1]))
         rates.append(gamma_p)
     liouv = build_liouvillian(H, jumps, rates)
     rho = steady_state(liouv, degeneracy_check=False)
-    return HtrsPoint(
-        liouv=liouv, rho=rho,
-        forward=two_time_correlation(liouv, rho, ops[i], ops[j], times),
-        reversed=two_time_correlation(liouv, rho, ops[j], ops[i], times),
-    )
+    return (two_time_correlation(liouv, rho, ops[i], ops[j], times),
+            two_time_correlation(liouv, rho, ops[j], ops[i], times))
 
 
 def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
-                  sites: tuple[int, int] = (1, 2), pump_site: int = 1,
                   gamma_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)) -> HtrsReport:
-    """Pair-swap asymmetry of <c_i(t) c_j(0)> under weak incoherent pumping.
+    """Pair-swap asymmetry of <c_1(t) c_2(0)> under weak incoherent pumping.
 
     For each pump rate in ``gamma_fractions * gamma_p`` the steady state of
-    the Lindbladian with the pump D[c^dag] on ``pump_site`` (1-based) is
-    recomputed and the forward and reversed correlators compared; without
-    pumping the sum vanishes (Onsager antisymmetry for odd jump operators),
-    with pumping it does not.  A negative or non-finite ``gamma_p`` is
-    rejected before any point is computed.
+    the Lindbladian with the pump D[c^dag] on site 1 (see
+    :func:`htrs_point`) is recomputed and the forward and reversed
+    correlators compared; without pumping the sum vanishes (Onsager
+    antisymmetry for odd jump operators), with pumping it does not.  A
+    negative or non-finite ``gamma_p`` is rejected before any point is
+    computed.
     """
     _check_pump_rate(gamma_p)
     ops, H = single_system(params)
     gammas = np.array(sorted({f * gamma_p for f in gamma_fractions}))
     asym = []
     for g in gammas:
-        pt = htrs_point(ops, H, params.kappa, g, times, sites, pump_site)
-        asym.append(float(np.abs(pt.forward + pt.reversed).max()))
-    return HtrsReport(gamma_values=gammas, asymmetry=np.array(asym))
+        forward, reversed_ = htrs_point(ops, H, params.kappa, g, times)
+        asym.append(float(np.abs(forward + reversed_).max()))
+    return HtrsReport(asymmetry=np.array(asym))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +550,6 @@ def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
 
 @dataclass(frozen=True)
 class CascadeReport:
-    times: np.ndarray
     max_system_deviation: float    # physical-block (upstream) observables
     max_absorber_deviation: float  # downstream observable
 
@@ -589,7 +585,6 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
                                       sys_obs + abs_obs))
     diff = np.abs(obs_dev[0] - obs_dev[1])
     return CascadeReport(
-        times=times,
         max_system_deviation=float(diff[:, :-1].max()),
         max_absorber_deviation=float(diff[:, -1].max()),
     )

@@ -64,10 +64,6 @@ class MeanFieldRoots:
     heuristic; no full stability analysis is implied).
     """
 
-    mu: float
-    delta: float
-    e_c: float
-    kappa: float
     roots: tuple[float, ...]
     stable: tuple[bool, ...]
 
@@ -89,7 +85,7 @@ def solve_roots(mu: float, delta: float, e_c: float, kappa: float) -> MeanFieldR
     if e_c == 0.0:
         a = mu**2 + 0.25 * kappa**2
         root = 0.5 * (1.0 - np.sqrt(a) / np.sqrt(a + 4.0 * delta**2))
-        return MeanFieldRoots(mu, delta, e_c, kappa, (float(root),), (True,))
+        return MeanFieldRoots((float(root),), (True,))
     b = mu**2 + 0.25 * kappa**2
     coeffs = [
         e_c**2,
@@ -117,7 +113,7 @@ def solve_roots(mu: float, delta: float, e_c: float, kappa: float) -> MeanFieldR
     stable = tuple(
         bool(_residual_derivative(r, mu, delta, e_c, kappa) > 0) for r in roots
     )
-    return MeanFieldRoots(mu, delta, e_c, kappa, tuple(roots), stable)
+    return MeanFieldRoots(tuple(roots), stable)
 
 
 def _polish(x, mu, delta, e_c, kappa, iters=40):

@@ -59,7 +59,6 @@ class MomentState:
     k: np.ndarray
     s_minus: np.ndarray
     s_z: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (FERMION, SPIN):
@@ -79,10 +78,6 @@ class MomentState:
     @property
     def mbar(self) -> float:
         return float(np.mean(self.s_z))
-
-    def bloch_violation(self) -> float:
-        """max over k of 4|s^-|^2 + (s^z)^2 - 1 (<= 0 inside the ball)."""
-        return float(np.max(4.0 * np.abs(self.s_minus) ** 2 + self.s_z**2) - 1.0)
 
 
 def vacuum_state(L: int, kind: str = FERMION) -> MomentState:
@@ -132,12 +127,6 @@ class MomentTrajectory:
     s_minus: np.ndarray   # shape (n_times, n_pairs)
     s_z: np.ndarray
 
-    def final_state(self) -> MomentState:
-        return MomentState(kind=self.kind, k=self.k,
-                           s_minus=self.s_minus[-1].copy(),
-                           s_z=self.s_z[-1].copy(),
-                           time=float(self.times[-1]))
-
     @property
     def nbar(self) -> np.ndarray:
         return 0.5 * (self.s_z.mean(axis=1) + 1.0)
@@ -155,19 +144,22 @@ def step_cap(params: ModelParams) -> float:
 
 def integrate_moments(initial: MomentState | Sequence[MomentState],
                       params: ModelParams | Sequence[ModelParams],
-                      t_final: float, dt: float, n_samples: int = 501,
-                      finite_size: bool = True):
+                      t_final: float, dt: float, n_samples: int = 501):
     """Fixed-step RK4 trajectories of the moment closure.
 
     ``initial`` is one :class:`MomentState`, or a sequence of them that
     share the chain length; ``params`` is one :class:`ModelParams` for all
     of them or one per state.  The batch is integrated in one kernel call
     and a tuple of trajectories is returned; a single state gives a single
-    trajectory.  Fixed stepping keeps the fermion/spin comparison curves
-    bitwise reproducible across runs, and a batch gives each trajectory
-    the same bits as integrating it alone.  ``dt`` must not exceed the
-    accuracy cap 0.01 / max(kappa, |mu|, 4 delta, |e_c|) of any trajectory,
-    and ceil(t_final / dt) must not exceed MAX_STEPS (else TooLargeError).
+    trajectory.  Every trajectory starts at t = 0; a FERMION state keeps
+    the e_c/L terms of the finite ring and a SPIN state has none.  Fixed
+    stepping keeps the fermion/spin comparison curves bitwise reproducible
+    across runs, and a batch gives each trajectory the same bits as
+    integrating it alone.  ``dt`` must not exceed the accuracy cap
+    0.01 / max(kappa, |mu|, 4 delta, |e_c|) of any trajectory, and
+    ceil(t_final / dt) must not exceed MAX_STEPS (else TooLargeError).
+    The last record of each trajectory must lie inside the Bloch ball to
+    BLOCH_TOL (else InvalidStateError).
     """
     single = isinstance(initial, MomentState)
     states = (initial,) if single else tuple(initial)
@@ -207,21 +199,22 @@ def integrate_moments(initial: MomentState | Sequence[MomentState],
         np.array([p.mu for p in plist]), np.array([p.e_c for p in plist]),
         np.array([p.kappa for p in plist]),
         float(L),
-        np.array([1.0 if (finite_size and st.kind == FERMION) else 0.0
-                  for st in states]),
+        np.array([1.0 if st.kind == FERMION else 0.0 for st in states]),
         dt, n_steps, stride,
     )
-    steps = dt * stride * np.arange(rec_z.shape[1])
+    times = dt * stride * np.arange(rec_z.shape[1])
     trajs = []
     for i, (st, s_minus, s_z) in enumerate(zip(states, rec_minus, rec_z)):
-        traj = MomentTrajectory(kind=st.kind, k=st.k, times=st.time + steps,
-                                s_minus=s_minus, s_z=s_z)
-        violation = traj.final_state().bloch_violation()
+        # max over k of 4|s^-|^2 + (s^z)^2 - 1 at the last record (<= 0
+        # inside the ball)
+        violation = float(np.max(4.0 * np.abs(s_minus[-1]) ** 2
+                                 + s_z[-1] ** 2) - 1.0)
         if violation > BLOCH_TOL:
             raise InvalidStateError(
                 f"trajectory {i} left the Bloch ball by {violation:.2e}"
             )
-        trajs.append(traj)
+        trajs.append(MomentTrajectory(kind=st.kind, k=st.k, times=times,
+                                      s_minus=s_minus, s_z=s_z))
     return trajs[0] if single else tuple(trajs)
 
 
@@ -233,8 +226,6 @@ class BreakdownReport:
     ``degenerate`` flags the p = 0 case where both changes vanish.
     """
 
-    p: float
-    beta_coh: complex
     dh_fermion: float
     dh_spin: float
     ratio: float
@@ -281,6 +272,5 @@ def interaction_breakdown(p: float, beta_coh: complex, e_c: float,
         [kappa, 0.25 * kappa], *np.eye(2, dtype=complex))
     degenerate = p == 0.0
     ratio = float("nan") if degenerate else dh_fermi / dh_spin
-    return BreakdownReport(p=p, beta_coh=beta_coh, dh_fermion=dh_fermi,
-                           dh_spin=dh_spin, ratio=ratio,
+    return BreakdownReport(dh_fermion=dh_fermi, dh_spin=dh_spin, ratio=ratio,
                            degenerate=degenerate)

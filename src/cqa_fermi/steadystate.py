@@ -51,17 +51,15 @@ class CoefficientTable:
     """Log-domain coefficients and pair-number distribution of the state.
 
     ``alpha_log_mag``/``alpha_phase`` hold ln|a_n| and arg(a_n) for
-    n = 0..n_max, ``log_counts`` the matching ln N(L, n) dimer counts,
-    ``log_norm`` is ln(sum_n |a_n|^2 N(L, n)) and ``p`` the normalized
-    probabilities |b_n|^2.  ``chain`` and ``row`` are the tables the
-    coefficients were built from; the correlation sums reuse them.
+    n = 0..chain.n_max, ``log_norm`` is ln(sum_n |a_n|^2 N(L, n)) with the
+    dimer counts ln N(L, n) of ``chain.log_counts``, and ``p`` the
+    normalized probabilities |b_n|^2.  ``chain`` and ``row`` are the tables
+    the coefficients were built from; the correlation sums reuse them.
     """
 
     params: ModelParams
-    n_max: int
     alpha_log_mag: np.ndarray
     alpha_phase: np.ndarray
-    log_counts: np.ndarray
     log_norm: float
     p: np.ndarray
     chain: ChainTables = field(repr=False)
@@ -99,7 +97,6 @@ class ChainTables:
     """
 
     L: int
-    bc: str
     n_max: int
     n: np.ndarray
     log_counts: np.ndarray
@@ -112,7 +109,7 @@ def chain_tables(L: int, bc: str) -> ChainTables:
     log_counts = combinatorics.log_counts(L, bc, n_max)
     for arr in (n, log_counts):
         arr.setflags(write=False)
-    return ChainTables(L, bc, n_max, n, log_counts)
+    return ChainTables(L, n_max, n, log_counts)
 
 
 @dataclass(frozen=True)
@@ -171,10 +168,8 @@ def _point_table(p: ModelParams, chain: ChainTables, row: MuRow,
     live[np.isnan(live)] = 0.0
     return CoefficientTable(
         params=p,
-        n_max=chain.n_max,
         alpha_log_mag=log_mag,
         alpha_phase=phase,
-        log_counts=chain.log_counts,
         log_norm=log_norm,
         p=pn,
         chain=chain,
@@ -223,9 +218,10 @@ def grid_observables(L: int, bc: str, mus, deltas, e_c: float,
 def recurrence_residual(tbl: CoefficientTable) -> float:
     """max_n |a_n (mu~ - n e_c/L) - delta a_{n-1}| / |a_n| over n >= 1."""
     p = tbl.params
-    if tbl.n_max < 1 or p.delta == 0:
+    n_max = tbl.chain.n_max
+    if n_max < 1 or p.delta == 0:
         return 0.0
-    n = np.arange(1, tbl.n_max + 1)
+    n = np.arange(1, n_max + 1)
     factor = (p.mu - (p.e_c / p.L) * n) + 0.5j * p.kappa
     # ratio a_n / a_{n-1} computed in log domain, then compared to
     # delta / factor with the common magnitude scaled out
@@ -250,7 +246,7 @@ def number_moment(tbl: CoefficientTable, m: int) -> float:
     """m-th moment of the dark-subspace total number operator."""
     if m < 1:
         raise ValueError("moment order must be >= 1")
-    n = np.arange(tbl.n_max + 1, dtype=float)
+    n = np.arange(tbl.chain.n_max + 1, dtype=float)
     return float(np.dot((2.0 * n) ** m, tbl.p))
 
 
@@ -261,18 +257,19 @@ def pair_expectation(tbl: CoefficientTable, m: int) -> complex:
     """
     if m < 1:
         raise ValueError("power must be >= 1")
-    if m > tbl.n_max:
+    n_max = tbl.chain.n_max
+    if m > n_max:
         return 0j
-    n = np.arange(m, tbl.n_max + 1, dtype=float)
+    n = np.arange(m, n_max + 1, dtype=float)
     log_mag = (
         gammaln(n + 1.0)
         - gammaln(n - m + 1.0)
         + tbl.alpha_log_mag[m:]
-        + tbl.alpha_log_mag[: tbl.n_max - m + 1]
-        + tbl.log_counts[m:]
+        + tbl.alpha_log_mag[: n_max - m + 1]
+        + tbl.chain.log_counts[m:]
         - tbl.log_norm
     )
-    phase = tbl.alpha_phase[: tbl.n_max - m + 1] - tbl.alpha_phase[m:]
+    phase = tbl.alpha_phase[: n_max - m + 1] - tbl.alpha_phase[m:]
     lm, ph = kernels.logsumexp_complex(
         np.ascontiguousarray(log_mag), np.ascontiguousarray(phase)
     )

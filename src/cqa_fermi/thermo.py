@@ -166,35 +166,34 @@ def _golden_minimize(f, a, b, xtol: float = 1e-11) -> np.ndarray:
     )
 
 
-def profile(mu, kappa, delta, mode=WEAK, grid_size: int = 4096):
+def profile(mu, kappa, delta, mode: str = WEAK, grid_size: int = 4096):
     """Scan Q on a grid, then refine every local well by golden section.
 
     Wells separated by a barrier smaller than 1e-12 are treated as one.
-    With scalars (and one mode) this returns one profile.  Given
-    sequences of equal length for any of ``mu``, ``kappa``, ``delta`` and
-    ``mode`` (the scalars repeat), it returns a tuple with one profile per
-    entry, each the one a scalar call gives: the grids of a mode are
-    evaluated in one call and all their wells refined in one lockstep
-    golden section.
+    With scalars this returns one profile.  Given sequences of equal
+    length for any of ``mu``, ``kappa`` and ``delta`` (the scalars
+    repeat), it returns a tuple with one profile per entry, each the one a
+    scalar call gives: the grids are evaluated in one call and all their
+    wells refined in one lockstep golden section.
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be >= 1e3")
-    single = all(np.ndim(v) == 0 for v in (mu, kappa, delta, mode))
-    mus, kappas, deltas, modes = np.broadcast_arrays(
-        *(np.atleast_1d(v) for v in (mu, kappa, delta, mode)))
+    single = all(np.ndim(v) == 0 for v in (mu, kappa, delta))
+    mus, kappas, deltas = np.broadcast_arrays(
+        *(np.atleast_1d(v) for v in (mu, kappa, delta)))
     _require_finite(mu=mus, kappa=kappas, delta=deltas)
     mus, kappas, deltas = (a.astype(float) for a in (mus, kappas, deltas))
     rho = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     out = [None] * mus.size
-    for m in dict.fromkeys(modes[deltas != 0.0].tolist()):
-        idx = np.nonzero((modes == m) & (deltas != 0.0))[0]
+    idx = np.nonzero(deltas != 0.0)[0]
+    if idx.size:
         for i, prof in zip(idx, _profiles(rho, mus[idx], kappas[idx],
-                                          deltas[idx], m)):
+                                          deltas[idx], mode)):
             out[i] = prof
     for i in np.nonzero(deltas == 0.0)[0]:
         # no drive: the state is the vacuum, formally Q = +inf off rho = 0
         out[i] = FreeEnergyProfile(
-            float(mus[i]), float(kappas[i]), float(deltas[i]), str(modes[i]),
+            float(mus[i]), float(kappas[i]), float(deltas[i]), mode,
             rho, np.full_like(rho, np.inf), rho_min=0.0, rho_low=None,
             rho_high=None, delta_q_min=None, wells=())
     return out[0] if single else tuple(out)
@@ -287,7 +286,7 @@ def _low_dominates(prof: FreeEnergyProfile) -> bool:
 
 
 def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
-                   tol: float = 1e-6, grid_size: int = 4096):
+                   tol: float = 1e-6):
     """First-order transition point delta_crit(mu) by bisection.
 
     Bisects on the sign of the depth difference of the two deepest wells
@@ -316,9 +315,9 @@ def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
     lo, hi = ([d] * mus.size for d in _DELTA_SCAN)
     try:
         ends = profile(np.tile(mus[live], 2), kappa,
-                       np.repeat(_DELTA_SCAN, len(live)), mode,
-                       grid_size) if live else ()
-    except (DomainError, ValueError) as exc:  # kappa, mode or grid_size
+                       np.repeat(_DELTA_SCAN, len(live)),
+                       mode) if live else ()
+    except (DomainError, ValueError) as exc:  # kappa or mode
         errors.update(dict.fromkeys(live, exc))
         ends = ()
     for i, at_lo, at_hi in zip(live, ends, ends[len(live):]):
@@ -335,8 +334,7 @@ def critical_delta(mu, kappa: float = 0.0, mode: str = WEAK,
                 if not (hi[i] - lo[i] <= tol or mid[i] in (lo[i], hi[i]))]
         if not live:
             break
-        profs = profile(mus[live], kappa, [mid[i] for i in live], mode,
-                        grid_size)
+        profs = profile(mus[live], kappa, [mid[i] for i in live], mode)
         for i, prof in zip(live, profs):
             two_well_seen[i] = two_well_seen[i] or len(prof.wells) >= 2
             if _low_dominates(prof):

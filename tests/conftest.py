@@ -7,12 +7,13 @@ import scipy.sparse as sp
 
 from cqa_fermi import fock, pseudospin as ps, thermo
 from cqa_fermi.core import PBC, ModelParams
+from cqa_fermi.errors import OddPbcLengthWarning
 
 
 @pytest.fixture(autouse=True)
 def _silence_odd_pbc_warning():
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=UserWarning)
+        warnings.simplefilter("ignore", category=OddPbcLengthWarning)
         yield
 
 

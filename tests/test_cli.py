@@ -281,6 +281,20 @@ class TestExitCodes:
                     "--output", str(missing)])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("argv", [
+        ["free-energy", "--mu", "0.2", "--delta", "0.02"],
+        ["verify"],
+    ])
+    def test_output_that_is_a_directory(self, tmp_path, capsys, argv):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept\n")
+        assert run([*argv, "--output", str(target)]) == cli.EXIT_VALIDATION
+        assert "invalid configuration" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no .tmp
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept\n"
+
     def test_bad_grid(self):
         assert run(["phase-diagram", "--mu", "0.3:0.1:5",
                     "--delta", "0.01:0.1:3"]) == cli.EXIT_VALIDATION

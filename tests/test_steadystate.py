@@ -20,10 +20,10 @@ class TestCoefficientTable:
         assert tbl.alpha_phase[0] == 0.0
 
     def test_cutoff_by_boundary_condition(self):
-        assert table(L=8, bc=PBC).n_max == 3
-        assert table(L=8, bc=OBC).n_max == 4
-        assert table(L=7, bc=PBC).n_max == 3
-        assert table(L=7, bc=OBC).n_max == 3
+        assert table(L=8, bc=PBC).chain.n_max == 3
+        assert table(L=8, bc=OBC).chain.n_max == 4
+        assert table(L=7, bc=PBC).chain.n_max == 3
+        assert table(L=7, bc=OBC).chain.n_max == 3
 
     def test_single_factor_value(self):
         # a_1 = delta / (mu~ - e_c/L) = 0.1 / (0.05 + 0.1i) = 0.4 - 0.8i
@@ -41,9 +41,10 @@ class TestCoefficientTable:
 
     def test_free_limit_is_geometric(self):
         tbl = table(L=12, e_c=0.0, mu=0.2, delta=0.15, kappa=0.3)
-        ratio = tbl.params.delta / tbl.params.mu_tilde
+        ratio = tbl.params.delta / complex(tbl.params.mu,
+                                           0.5 * tbl.params.kappa)
         alpha = tbl.alpha_complex()
-        for n in range(tbl.n_max + 1):
+        for n in range(tbl.chain.n_max + 1):
             assert alpha[n] == pytest.approx(ratio**n, rel=1e-12)
 
     def test_vacuum_at_zero_pairing(self):
@@ -63,8 +64,9 @@ class TestCoefficientTable:
         p = ModelParams(L=32, bc=PBC, mu=0.27, delta=0.18, e_c=1.0, kappa=0.05)
         tbl = ss.build_coefficients(p)
         direct = [1.0 + 0j]
-        for n in range(1, tbl.n_max + 1):
-            direct.append(direct[-1] * p.delta / (p.mu_tilde - n * p.e_c / p.L))
+        for n in range(1, tbl.chain.n_max + 1):
+            direct.append(direct[-1] * p.delta
+                          / (complex(p.mu, 0.5 * p.kappa) - n * p.e_c / p.L))
         assert np.allclose(tbl.alpha_complex(), direct, rtol=1e-12)
 
 

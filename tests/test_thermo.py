@@ -154,23 +154,26 @@ class TestProfile:
             thermo.profile(0.2, 0.0, 0.02, "weak", grid_size=100)
 
     def test_batch_matches_single_calls(self):
-        # mixed mu, delta and mode; a vacuum entry and single-well entries
-        mu = [0.2, -0.3, 0.2, 0.25, 0.4, 0.2]
-        kappa = [0.0, 0.0, 1e-3, 1e-3, 0.0, 0.05]
-        delta = [0.0212, 0.1, 0.021, 0.0, 0.09, 0.3]
-        mode = ["weak", "weak", "full", "full", "weak", "full"]
-        batch = thermo.profile(mu, kappa, delta, mode, grid_size=2048)
-        assert isinstance(batch, tuple) and len(batch) == len(mu)
-        singles = [thermo.profile(*args, grid_size=2048)
-                   for args in zip(mu, kappa, delta, mode)]
-        assert [p.two_wells for p in singles] == [True, False, True, False,
-                                                  True, False]
-        for got, want in zip(batch, singles):
-            for name in ("mu", "kappa", "delta", "mode", "rho_min",
-                         "rho_low", "rho_high", "delta_q_min", "wells"):
-                assert getattr(got, name) == getattr(want, name), name
-            assert np.array_equal(got.rho, want.rho)
-            assert np.array_equal(got.q, want.q)
+        # one batch per mode with mixed mu and delta; a vacuum entry and
+        # single-well entries
+        batches = {
+            "weak": ([0.2, -0.3, 0.4], [0.0, 0.0, 0.0], [0.0212, 0.1, 0.09],
+                     [True, False, True]),
+            "full": ([0.2, 0.25, 0.2], [1e-3, 1e-3, 0.05], [0.021, 0.0, 0.3],
+                     [True, False, False]),
+        }
+        for mode, (mu, kappa, delta, two_wells) in batches.items():
+            batch = thermo.profile(mu, kappa, delta, mode, grid_size=2048)
+            assert isinstance(batch, tuple) and len(batch) == len(mu)
+            singles = [thermo.profile(m, k, d, mode, grid_size=2048)
+                       for m, k, d in zip(mu, kappa, delta)]
+            assert [p.two_wells for p in singles] == two_wells
+            for got, want in zip(batch, singles):
+                for name in ("mu", "kappa", "delta", "mode", "rho_min",
+                             "rho_low", "rho_high", "delta_q_min", "wells"):
+                    assert getattr(got, name) == getattr(want, name), name
+                assert np.array_equal(got.rho, want.rho)
+                assert np.array_equal(got.q, want.q)
 
     def test_scalars_repeat_across_a_sequence(self):
         deltas = [0.02, 0.0224]
@@ -326,12 +329,12 @@ class TestAgainstExactDistribution:
         L = 100_000
         p = ModelParams(L=L, bc=PBC, mu=0.2, delta=0.021, e_c=1.0, kappa=1e-8)
         tbl = ss.build_coefficients(p)
-        n = np.arange(tbl.n_max + 1)
+        n = np.arange(tbl.chain.n_max + 1)
         rho = 2.0 * n / L
         sel = (rho >= 0.02) & (rho <= 0.95)
         # ln p_n from the log-domain weights: p itself underflows far from
         # the wells at this system size
-        log_p = 2.0 * tbl.alpha_log_mag + tbl.log_counts - tbl.log_norm
+        log_p = 2.0 * tbl.alpha_log_mag + tbl.chain.log_counts - tbl.log_norm
         f = -log_p[sel] / L
         q = thermo.free_energy(rho[sel], 0.2, 1e-8, 0.021, "full")
         resid = f - q
@@ -346,7 +349,7 @@ class TestBetaAsymptotic:
         tbl = ss.build_coefficients(p)
         for rho in (0.1, 0.3, 0.6):
             n = int(round(rho * L / 2))
-            exact = 0.5 * (2.0 * tbl.alpha_log_mag[n] + tbl.log_counts[n]
+            exact = 0.5 * (2.0 * tbl.alpha_log_mag[n] + tbl.chain.log_counts[n]
                            - tbl.log_norm)
             approx = thermo.beta_asymptotic(rho, mu, kappa, delta, L)
             assert approx == pytest.approx(exact, rel=1e-2)
