@@ -45,6 +45,15 @@ LU_MAX_DIM = 4096
 # HTRS_SITES = (i, j) and pump site HTRS_PUMP_SITE
 HTRS_SITES = (1, 2)
 HTRS_PUMP_SITE = 1
+# inverse-iteration solves before ``steady_state`` gives up on reaching a
+# kernel residual below 1e-13; every oracle system here needs 2
+MAX_LU_SOLVES = 30
+# the truncated Taylor propagator of Al-Mohy & Higham, SIAM J. Sci. Comput.
+# 33, 488 (2011), at unit roundoff: a sub-step spans a 1-norm of at most
+# theta_55 = 9.9 (their table 3.1) and sums at most 55 terms
+TAYLOR_TERMS = 55
+TAYLOR_THETA = 9.9
+TAYLOR_TOL = 2.0 ** -53
 
 
 def _popcounts(dim: int) -> np.ndarray:
@@ -236,8 +245,9 @@ def steady_state(liouv: SuperOperator,
     Raises
     ------
     DegenerateKernelError
-        If two or more eigenvalues lie within 1e-10 of zero, or if the
-        evolution fallback cannot isolate a kernel vector.
+        If two or more eigenvalues lie within 1e-10 of zero, if
+        MAX_LU_SOLVES solves leave the kernel residual at 1e-13 or more,
+        or if the evolution fallback cannot isolate a kernel vector.
     """
     A = liouv.matrix
     n = A.shape[0]
@@ -259,11 +269,16 @@ def steady_state(liouv: SuperOperator,
         lu = spla.splu(
             (As - 1e-9 * sp.identity(idx.size, dtype=complex,
                                      format="csc")).tocsc())
-        for _ in range(30):
+        for _ in range(MAX_LU_SOLVES):
             x = lu.solve(x)
             x = x / np.linalg.norm(x)
-            if np.linalg.norm(As @ x) < 1e-13:
+            residual = np.linalg.norm(As @ x)
+            if residual < 1e-13:
                 break
+        else:
+            raise DegenerateKernelError(
+                f"inverse iteration left the kernel residual at "
+                f"{residual:.2e} after {MAX_LU_SOLVES} solves")
     full = np.zeros(n, dtype=complex)
     full[idx] = x
     rho = unvec(full)
@@ -281,10 +296,10 @@ def steady_state(liouv: SuperOperator,
 
 
 def _kernel_by_evolution(A, x, target=1e-12, t_stage=250.0, max_stages=14):
-    """Relax x toward the kernel of A in geometric time stages."""
+    """Relax x toward the kernel of A in geometric time stages, each one
+    :func:`_expm_grid` step of length ``t_stage``."""
     for _ in range(max_stages):
-        x = spla.expm_multiply(A, x, start=0.0, stop=t_stage, num=2,
-                               endpoint=True)[-1]
+        x = _expm_grid(A, x, t_stage, 1)[1]
         x = x / np.linalg.norm(x)
         if np.linalg.norm(A @ x) < target:
             return x
@@ -295,16 +310,73 @@ def _kernel_by_evolution(A, x, target=1e-12, t_stage=250.0, max_stages=14):
     )
 
 
-def _evolve_traces(A, v0, times: np.ndarray, observables) -> np.ndarray:
-    """Tr(O unvec(exp(A t) v0)) for each t of the uniform grid ``times``
-    (which starts at 0) and each sparse O, as a (times, observables) array.
+def _expm_grid(A, v, h: float, q: int) -> np.ndarray:
+    """exp(A k h) v for k = 0..q, as a (q + 1, n) array.
 
-    The evolution runs on the indices ``_sector(A, v0)``; each trace is one
+    The truncated Taylor series of Al-Mohy & Higham with the stopping rule
+    of their algorithm 3.2 (scipy's matrix-exponential action uses the
+    same).  A is shifted by mu = tr(A)/n to B = A - mu.  Each grid step
+    takes s = max(1, ceil(h ||B||_1 / TAYLOR_THETA)) sub-steps of h/s.  A
+    sub-step sums F = sum_p K_p with K_0 = x and K_p = (h/s) B K_{p-1} / p,
+    stops after K_p once ||K_{p-1}||_inf + ||K_p||_inf <= TAYLOR_TOL
+    ||F||_inf, or after TAYLOR_TERMS terms, where the a-priori bound
+    already holds, and sets x = e^{h mu / s} F.  The norms are
+    max(|Re|, |Im|) over the entries, which is at most ||.||_inf and at
+    least ||.||_inf / sqrt(2), so the test, run with TAYLOR_TOL / sqrt(2),
+    implies the exact one.
+    """
+    n = A.shape[0]
+    mu = A.trace() / n
+    B = A - mu * sp.identity(n, dtype=A.dtype, format="csr")
+    s = max(1, math.ceil(h * abs(B).sum(axis=0).max() / TAYLOR_THETA))
+    B = (h / s) * B
+    eta = np.exp((h / s) * mu)
+    tol = TAYLOR_TOL / math.sqrt(2.0)
+    out = np.empty((q + 1, n), dtype=complex)
+    out[0] = v
+    mags = np.empty(2 * n)
+
+    def norm(x):
+        return np.abs(x.view(np.float64), out=mags).max()
+
+    for k in range(1, q + 1):
+        F = out[k]
+        F[...] = out[k - 1]
+        for _ in range(s):
+            K, c1 = F, norm(F)
+            for p in range(1, TAYLOR_TERMS + 1):
+                K = B @ K
+                K_real = K.view(np.float64)  # a real divide costs less
+                K_real /= p
+                c2 = norm(K)
+                F += K
+                if c1 + c2 <= tol * norm(F):
+                    break
+                c1 = c2
+            F *= eta
+    return out
+
+
+def _evolve_traces(A, v0, times: np.ndarray, observables) -> np.ndarray:
+    """Tr(O unvec(exp(A t) v0)) for each t of ``times`` and each sparse O,
+    as a (times, observables) array.
+
+    ``times`` must be a uniform, strictly increasing grid from 0 (else
+    ValueError).  The evolution is one :func:`_expm_grid` call with the
+    grid's own step on the indices ``_sector(A, v0)``; each trace is one
     dot product, Tr(O rho) = vec(O^T) . vec(rho), over them.
     """
+    times = np.asarray(times, dtype=float)
+    if times.size < 2 or times[0] != 0.0:
+        raise ValueError("times must be a grid starting at 0")
+    steps = np.diff(times)
+    if not np.all(steps > 0.0):
+        raise ValueError("times must be strictly increasing")
+    if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
+        raise ValueError("times must be uniformly spaced")
     idx = _sector(A, v0)
-    vt = spla.expm_multiply(A[idx][:, idx], v0[idx], start=times[0],
-                            stop=times[-1], num=times.size, endpoint=True)
+    q = times.size - 1
+    vt = _expm_grid(A[idx][:, idx].tocsr(), v0[idx], times[-1] / q, q)
     return vt @ np.stack([vec(o.T.toarray())[idx] for o in observables],
                          axis=1)
 
@@ -457,24 +529,17 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
                          X: sp.csr_matrix, Y: sp.csr_matrix,
                          times: np.ndarray) -> np.ndarray:
     """<X(t) Y(0)> on a uniform, strictly increasing time grid from 0 via
-    quantum regression, one value per entry of ``times``.
+    quantum regression, one value per entry of ``times`` (else ValueError).
 
-    Propagates vec(Y rho_ss) with the error-controlled sparse
-    matrix-exponential action and traces against X at each grid point.
-    Only the row/column parity-difference half holding vec(Y rho_ss) is
-    propagated: with rho_ss in the even half (as ``steady_state`` returns
-    it) that is the even half for Y even and the odd half for Y odd.  The
-    full space is used when vec(Y rho_ss) has weight in both halves, or
-    when the Liouvillian couples them.
+    Propagates vec(Y rho_ss) with the Taylor stepper :func:`_expm_grid`,
+    one series per grid step (several sub-steps when the step times the
+    shifted Liouvillian's 1-norm exceeds TAYLOR_THETA), and traces against
+    X at each grid point.  Only the row/column parity-difference half
+    holding vec(Y rho_ss) is propagated: with rho_ss in the even half (as
+    ``steady_state`` returns it) that is the even half for Y even and the
+    odd half for Y odd.  The full space is used when vec(Y rho_ss) has
+    weight in both halves, or when the Liouvillian couples them.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2 or times[0] != 0.0:
-        raise ValueError("times must be a grid starting at 0")
-    steps = np.diff(times)
-    if not np.all(steps > 0.0):
-        raise ValueError("times must be strictly increasing")
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
-        raise ValueError("times must be uniformly spaced")
     return _evolve_traces(liouv.matrix, vec(Y @ rho_ss), times, [X])[:, 0]
 
 

@@ -54,15 +54,19 @@ def free_energy(rho, mu, kappa, delta, mode: str = WEAK):
     mu, kappa, delta = (np.asarray(v, dtype=float) for v in (mu, kappa, delta))
     if np.any(delta <= 0.0):
         raise DomainError("free energy requires delta > 0")
+    _check_mode(mode, kappa)
     if mode == WEAK:
         q = _free_energy_weak(rho_arr, mu, delta)
-    elif mode == FULL:
-        if np.any(kappa <= 0.0):
-            raise DomainError("full mode requires kappa > 0")
-        q = _free_energy_full(rho_arr, mu, kappa, delta)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        q = _free_energy_full(rho_arr, mu, kappa, delta)
     return float(q) if np.isscalar(rho) and np.ndim(q) == 0 else q
+
+
+def _check_mode(mode, kappa):
+    if mode not in (WEAK, FULL):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == FULL and np.any(kappa <= 0.0):
+        raise DomainError("full mode requires kappa > 0")
 
 
 def _require_finite(**params):
@@ -174,7 +178,9 @@ def profile(mu, kappa, delta, mode: str = WEAK, grid_size: int = 4096):
     length for any of ``mu``, ``kappa`` and ``delta`` (the scalars
     repeat), it returns a tuple with one profile per entry, each the one a
     scalar call gives: the grids are evaluated in one call and all their
-    wells refined in one lockstep golden section.
+    wells refined in one lockstep golden section.  An unknown ``mode``,
+    or full mode with a kappa <= 0, is rejected whatever the deltas, so
+    also where every delta is 0 and the profile is the vacuum.
     """
     if grid_size < 1000:
         raise ValueError("grid_size must be >= 1e3")
@@ -182,6 +188,7 @@ def profile(mu, kappa, delta, mode: str = WEAK, grid_size: int = 4096):
     mus, kappas, deltas = np.broadcast_arrays(
         *(np.atleast_1d(v) for v in (mu, kappa, delta)))
     _require_finite(mu=mus, kappa=kappas, delta=deltas)
+    _check_mode(mode, kappas)
     mus, kappas, deltas = (a.astype(float) for a in (mus, kappas, deltas))
     rho = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
     out = [None] * mus.size

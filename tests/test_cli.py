@@ -340,6 +340,14 @@ class TestExitCodes:
         assert run([*argv, "--output", str(out)]) == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("delta", ["0", "0.01"])
+    def test_full_mode_at_zero_kappa_exits_two(self, tmp_path, capsys, delta):
+        out = tmp_path / "fe.csv"
+        assert run(["free-energy", "--mu", "0.2", "--delta", delta,
+                    "--mode", "full", "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "full mode requires kappa > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_kappa_accepted(self, tmp_path):
         out = tmp_path / "fe.csv"
         assert run(["free-energy", "--mu", "0.2", "--delta", "0",

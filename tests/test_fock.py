@@ -207,6 +207,17 @@ class TestSteadyState:
         with pytest.raises(DegenerateKernelError):
             fock.steady_state(liouv)
 
+    def test_solve_cap_raises_with_the_residual(self, monkeypatch):
+        # one solve from the maximally mixed state leaves a kernel residual
+        # of 8.7e-10 here (the second reaches 1.4e-16)
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        ops, H = fock.single_system(p)
+        liouv = fock.build_liouvillian(H, ops, p.kappa)
+        monkeypatch.setattr(fock, "MAX_LU_SOLVES", 1)
+        with pytest.raises(DegenerateKernelError,
+                           match=r"residual at [0-9.]+e-[0-9]+ after 1 solves"):
+            fock.steady_state(liouv, degeneracy_check=False)
+
     @pytest.mark.parametrize("L", [2, 3, 4])
     @pytest.mark.parametrize("bc", [OBC, PBC])
     def test_evolution_path_matches_lu(self, L, bc, monkeypatch):
@@ -533,6 +544,90 @@ class TestParitySector:
         got = fock._evolve_traces(liouv.matrix, v0, times, obs)
         assert fock._sector(liouv.matrix, v0).size == 128
         assert_close_relative(got, full_space_traces(liouv, v0, times, obs))
+
+
+def expm_multiply_grid(A, v, times):
+    """The reference propagator: scipy's exp(A t) v on the same grid."""
+    return spla.expm_multiply(A, v, start=0.0, stop=times[-1],
+                              num=times.size, endpoint=True)
+
+
+def sub_steps(A, h):
+    """The sub-step count fock._expm_grid takes for a grid step h."""
+    n = A.shape[0]
+    B = A - (A.trace() / n) * sp.identity(n, dtype=complex, format="csr")
+    return max(1, math.ceil(h * abs(B).sum(axis=0).max() / fock.TAYLOR_THETA))
+
+
+class TestTaylorPropagator:
+    """fock._expm_grid against expm_multiply; each bound is a few times
+    the largest difference measured (stated per test), relative to the
+    largest entry of the reference."""
+
+    @pytest.mark.parametrize("gamma_p", [0.0, 0.001])
+    def test_htrs_odd_sector(self, gamma_p):
+        # the htrs correlator vector at L = 4 on the htrs default grid (200
+        # steps, h ||B||_1 = 4.37, one sub-step): measured 1.0e-15 at
+        # gamma_p = 0 and 2.3e-15 at 0.001
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        ops, H = fock.single_system(p)
+        jumps, rates = list(ops), [p.kappa] * 4
+        if gamma_p > 0:
+            jumps.append(fock.dag(ops[0]))
+            rates.append(gamma_p)
+        liouv = fock.build_liouvillian(H, jumps, rates)
+        rho = fock.steady_state(liouv, degeneracy_check=False)
+        v0 = fock.vec(ops[1] @ rho)
+        idx = fock._sector(liouv.matrix, v0)
+        A, v = liouv.matrix[idx][:, idx].tocsr(), v0[idx]
+        times = np.linspace(0.0, 400.0, 201)
+        assert sub_steps(A, 2.0) == 1
+        got = fock._expm_grid(A, v, 2.0, 200)
+        assert got.shape == (201, 128) and np.array_equal(got[0], v)
+        assert_close_relative(got, expm_multiply_grid(A, v, times), 1e-14)
+
+    @pytest.mark.parametrize("start", ["vacuum", "mixed"])
+    def test_several_sub_steps_per_grid_step(self, start):
+        # the doubled L = 2 system's even sector on a coarse grid: h ||B||_1
+        # = 77.8 > TAYLOR_THETA, so 8 sub-steps; measured 4.4e-15 from the
+        # vacuum and 3.1e-15 from the maximally mixed state, which one
+        # 55-term series per step would miss by a factor of 1e27
+        system = fock.build_doubled_system(
+            ModelParams(L=2, bc=PBC, mu=0.25, delta=0.12, e_c=1.0, kappa=0.1),
+            absorber_mu=0.3)
+        liouv = fock.build_liouvillian(system.hamiltonian, system.jumps, 0.1)
+        v0 = np.zeros(256, dtype=complex)
+        v0[0] = 1.0
+        idx = fock._sector(liouv.matrix, v0)
+        if start == "mixed":
+            v0 = fock.vec(np.eye(16, dtype=complex) / 16)
+        A, v = liouv.matrix[idx][:, idx].tocsr(), v0[idx]
+        times = np.linspace(0.0, 100.0, 3)
+        assert sub_steps(A, 50.0) == 8
+        got = fock._expm_grid(A, v, 50.0, 2)
+        assert_close_relative(got, expm_multiply_grid(A, v, times), 2e-14)
+
+    def test_one_long_relaxation_stage(self):
+        # the first stage of _kernel_by_evolution (q = 1, t = 250) from the
+        # maximally mixed state at L = 4, 61 sub-steps: measured 6.5e-16
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        ops, H = fock.single_system(p)
+        liouv = fock.build_liouvillian(H, ops, p.kappa)
+        x0 = fock.vec(np.eye(16, dtype=complex) / 16)
+        idx = fock._sector(liouv.matrix, x0)
+        A, x = liouv.matrix[idx][:, idx].tocsr(), x0[idx]
+        assert sub_steps(A, 250.0) == 61
+        got = fock._expm_grid(A, x, 250.0, 1)
+        ref = expm_multiply_grid(A, x, np.array([0.0, 250.0]))
+        assert got.shape == (2, 128)
+        assert_close_relative(got[1], ref[1], 1e-14)
+
+    def test_zero_start_vector_gives_exact_zeros(self):
+        p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
+        ops, H = fock.single_system(p)
+        A = fock.build_liouvillian(H, ops, p.kappa).matrix
+        got = fock._expm_grid(A, np.zeros(256, dtype=complex), 2.0, 50)
+        assert got.shape == (51, 256) and not got.any()
 
 
 @pytest.mark.slow

@@ -185,6 +185,22 @@ class TestProfile:
         prof = thermo.profile(0.2, 0.0, 0.0, "weak")
         assert thermo.density_thermo(prof) == 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, 0.01, [0.0, 0.0], [0.0, 0.01]])
+    def test_unknown_mode_rejected_for_every_delta(self, delta):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            thermo.profile(0.2, 0.0, delta, "bogus")
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, [0.0, 0.0], [0.0, 0.01]])
+    def test_full_mode_needs_kappa_for_every_delta(self, delta):
+        with pytest.raises(DomainError, match="full mode requires kappa > 0"):
+            thermo.profile(0.2, 0.0, delta, "full")
+        with pytest.raises(DomainError, match="full mode requires kappa > 0"):
+            thermo.profile(0.2, [1e-3, 0.0], delta, "full")
+
+    def test_vacuum_profile_keeps_a_valid_mode(self):
+        prof = thermo.profile(0.2, 1e-3, 0.0, "full")
+        assert prof.mode == "full" and thermo.density_thermo(prof) == 0.0
+
 
 class TestCriticalDelta:
     def test_weak_dissipation_value(self):
