@@ -23,14 +23,3 @@ from .core import (  # noqa: F401
     nearest_neighbor_pairing,
     validate_params,
 )
-
-# served on first use, so that importing the package loads no scipy module
-_STEADYSTATE_NAMES = ("CoefficientTable", "build_coefficients", "mean_density")
-
-
-def __getattr__(name):
-    if name in _STEADYSTATE_NAMES:
-        from . import steadystate
-
-        return getattr(steadystate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

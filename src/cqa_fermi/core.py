@@ -54,7 +54,8 @@ def validate_params(p: ModelParams) -> ModelParams:
     BadLengthError
         If L < 2.
     NonPositiveKappaError
-        If kappa <= 0.
+        If kappa <= 0, or kappa/2 rounds to 0 (kappa = 5e-324), which
+        leaves the coefficients no loss to regularize their resonances.
     ValueError
         For a negative pairing amplitude, an unknown boundary tag, or a
         non-finite mu, delta, e_c or kappa.
@@ -66,8 +67,9 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise ValueError(f"unknown boundary condition {p.bc!r}")
     if p.L < 2:
         raise BadLengthError(f"need at least 2 sites, got L={p.L}")
-    if p.kappa <= 0:
-        raise NonPositiveKappaError(f"kappa must be > 0, got {p.kappa}")
+    if 0.5 * p.kappa <= 0:  # false for nan, which is rejected below
+        raise NonPositiveKappaError(f"kappa must be > 0 with kappa/2 > 0, "
+                                    f"got {p.kappa}")
     if p.delta < 0:
         raise ValueError(f"delta must be >= 0, got {p.delta}")
     for name in ("mu", "delta", "e_c", "kappa"):
@@ -91,7 +93,8 @@ class PairingMatrix:
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "PairingMatrix":
-        entries = np.asarray(entries, dtype=complex)
+        # a copy, so that the caller's array stays writable
+        entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("pairing matrix must be square")
         if not np.array_equal(entries.T, -entries):

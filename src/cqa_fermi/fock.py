@@ -123,11 +123,15 @@ def build_hamiltonian(pairing, mu: float, e_c: float,
 
     H = -mu * sum_j n_j + e_c/(2M) * (sum_j n_j)^2 + P + P^dag
 
-    with P = :func:`pair_creation` of the antisymmetric pairing matrix D.
-    The sums run over the M modes of ``ops``, which may be a block of a
-    larger Fock space.
+    with P = :func:`pair_creation` of the antisymmetric pairing matrix D,
+    a :class:`PairingMatrix` or a bare array that
+    ``PairingMatrix.from_entries`` accepts (else ValueError).  The sums run
+    over the M modes of ``ops``, which may be a block of a larger Fock
+    space.
     """
-    D = pairing.entries if isinstance(pairing, PairingMatrix) else np.asarray(pairing)
+    if not isinstance(pairing, PairingMatrix):
+        pairing = PairingMatrix.from_entries(pairing)
+    D = pairing.entries
     M = len(ops)
     if D.shape != (M, M):
         raise DimensionMismatchError(f"pairing shape {D.shape} vs {M} modes")
@@ -228,7 +232,7 @@ def _sector(A, x) -> np.ndarray:
 
 
 def steady_state(liouv: SuperOperator,
-                 degeneracy_check: bool | None = None) -> np.ndarray:
+                 degeneracy_check: bool = True) -> np.ndarray:
     """Unique density matrix in the Liouvillian kernel.
 
     The iteration starts from the maximally mixed state and runs on the even
@@ -237,10 +241,10 @@ def steady_state(liouv: SuperOperator,
     it runs on the full vectorized space.  Up to LU_MAX_DIM vectorized
     dimensions: shifted inverse iteration on the sparse LU factorization,
     with a spectrum check of the full Liouvillian near zero guarding the
-    uniqueness assumption (``degeneracy_check`` defaults to on there).
-    Beyond that the direct factorization is impractical, so the state is
-    evolved in geometric time stages until the kernel residual drops below
-    1e-12; the spectrum check is skipped unless forced.
+    uniqueness assumption unless ``degeneracy_check`` is False.  Beyond
+    that the direct factorization is impractical, so the state is evolved
+    in geometric time stages until the kernel residual drops below 1e-12,
+    and there is no spectrum check.
 
     Raises
     ------
@@ -252,10 +256,8 @@ def steady_state(liouv: SuperOperator,
     A = liouv.matrix
     n = A.shape[0]
     d = liouv.hilbert_dim
-    if degeneracy_check is None:
-        degeneracy_check = n <= LU_MAX_DIM
-    if degeneracy_check:
-        w = smallest_eigenvalues(liouv, k=min(4, d * d - 2) if d * d > 4 else 2)
+    if degeneracy_check and n <= LU_MAX_DIM:
+        w = smallest_eigenvalues(liouv)
         if np.sum(np.abs(w) < 1e-10) >= 2:
             raise DegenerateKernelError(
                 f"{np.sum(np.abs(w) < 1e-10)} eigenvalues within 1e-10 of zero"
@@ -543,15 +545,6 @@ def two_time_correlation(liouv: SuperOperator, rho_ss: np.ndarray,
     return _evolve_traces(liouv.matrix, vec(Y @ rho_ss), times, [X])[:, 0]
 
 
-@dataclass(frozen=True)
-class HtrsReport:
-    asymmetry: np.ndarray          # max_t |<c_i(t)c_j(0)> + <c_j(t)c_i(0)>|
-
-    @property
-    def monotone(self) -> bool:
-        return bool(np.all(np.diff(self.asymmetry) > 0))
-
-
 def single_system(params: ModelParams):
     """Annihilators and Hamiltonian of the nearest-neighbour chain
     ``params`` on its L modes (no absorber)."""
@@ -587,16 +580,16 @@ def htrs_point(ops: list[sp.csr_matrix], H: sp.csr_matrix, kappa: float,
 
 
 def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
-                  gamma_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)) -> HtrsReport:
+                  gamma_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)) -> np.ndarray:
     """Pair-swap asymmetry of <c_1(t) c_2(0)> under weak incoherent pumping.
 
-    For each pump rate in ``gamma_fractions * gamma_p`` the steady state of
-    the Lindbladian with the pump D[c^dag] on site 1 (see
-    :func:`htrs_point`) is recomputed and the forward and reversed
-    correlators compared; without pumping the sum vanishes (Onsager
-    antisymmetry for odd jump operators), with pumping it does not.  A
-    negative or non-finite ``gamma_p`` is rejected before any point is
-    computed.
+    For each distinct pump rate in ``gamma_fractions * gamma_p``, in
+    increasing order, the steady state of the Lindbladian with the pump
+    D[c^dag] on site 1 (see :func:`htrs_point`) is recomputed and the
+    asymmetry max_t |<c_1(t) c_2(0)> + <c_2(t) c_1(0)>| returned, one entry
+    per rate; without pumping the sum vanishes (Onsager antisymmetry for
+    odd jump operators), with pumping it does not.  A negative or
+    non-finite ``gamma_p`` is rejected before any point is computed.
     """
     _check_pump_rate(gamma_p)
     ops, H = single_system(params)
@@ -605,7 +598,7 @@ def htrs_breaking(params: ModelParams, gamma_p: float, times: np.ndarray,
     for g in gammas:
         forward, reversed_ = htrs_point(ops, H, params.kappa, g, times)
         asym.append(float(np.abs(forward + reversed_).max()))
-    return HtrsReport(asymmetry=np.array(asym))
+    return np.array(asym)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +612,13 @@ class CascadeReport:
     max_absorber_deviation: float  # downstream observable
 
 
-def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
-                                 times: np.ndarray | None = None) -> CascadeReport:
+def cascade_nonreciprocity_check(params: ModelParams,
+                                 absorber_tweak: float) -> CascadeReport:
     """Detune the absorber and compare upstream vs downstream observables.
 
-    Two doubled systems are evolved from vacuum, identical except that the
-    absorber-block chemical potential is scaled by (1 + absorber_tweak).
+    Two doubled systems are evolved from vacuum over 11 times evenly
+    spaced on [0, 5 / kappa], identical except that the absorber-block
+    chemical potential is scaled by (1 + absorber_tweak).
     Upstream (physical-block, parity-even) observables must not move;
     at least one absorber observable must.
     """
@@ -632,8 +626,7 @@ def cascade_nonreciprocity_check(params: ModelParams, absorber_tweak: float,
     if 4 ** (2 * p.L) > MAX_LIOUVILLIAN_DIM:
         raise TooManyModesError(f"nonreciprocity check on {2 * p.L} modes "
                                 f"exceeds the Liouvillian cap")
-    if times is None:
-        times = np.linspace(0.0, 5.0 / p.kappa, 11)
+    times = np.linspace(0.0, 5.0 / p.kappa, 11)
     base = build_doubled_system(p)
     tweaked = build_doubled_system(p, absorber_mu=p.mu * (1.0 + absorber_tweak))
     obs_dev = []

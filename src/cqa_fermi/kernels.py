@@ -93,12 +93,9 @@ def logsumexp_real(log_vals: np.ndarray) -> float:
     return shift + math.log(float(np.sum(terms)))
 
 
-def logsumexp_complex(log_mag: np.ndarray, phase=None, factor=None):
-    """(ln|s|, arg s) of s = sum exp(log_mag + i phase).
-
-    ``factor`` = exp(i phase) may be passed instead of ``phase`` when the
-    same phases recur across calls.
-    """
+def logsumexp_complex(log_mag: np.ndarray, factor: np.ndarray):
+    """(ln|s|, arg s) of s = sum exp(log_mag) * factor, where ``factor``
+    holds the unit phase factors exp(i phase)."""
     if log_mag.size == 0:
         return NEG_INF, 0.0
     shift = float(np.max(log_mag))
@@ -106,16 +103,12 @@ def logsumexp_complex(log_mag: np.ndarray, phase=None, factor=None):
         return NEG_INF, 0.0
     terms = log_mag - shift
     lo, hi = exp_span(terms, terms)
-    if factor is None:
-        factor = np.exp(1j * phase[lo:hi])
-    else:
-        factor = factor[lo:hi]
     # a dead product is +0.0 here and +-0.0 in the full product (NaN for a
     # non-finite factor).  Zero summands can change a sum only in the sign
     # of a zero total, which the phase shows only for a factor -r - 0j;
     # exp(i phase) of a finite phase is never one.
     prod = np.zeros(terms.size, dtype=np.complex128)
-    np.multiply(terms[lo:hi], factor, out=prod[lo:hi])
+    np.multiply(terms[lo:hi], factor[lo:hi], out=prod[lo:hi])
     acc = np.sum(prod)
     if acc == 0:
         return NEG_INF, 0.0
@@ -131,7 +124,13 @@ def coefficient_logs(log_prefactor, mu, kappa, e_c, L, n_max):
     m = np.arange(1, n_max + 1, dtype=float)
     z_re = mu - (e_c / L) * m
     z_im = 0.5 * kappa
-    log_den = 0.5 * np.log(z_re * z_re + z_im * z_im)
+    sq = z_re * z_re + z_im * z_im
+    # near a resonance mu = m e_c / L both squares can underflow, and
+    # hypot keeps the modulus there; elsewhere ln(sq)/2
+    small = sq < np.finfo(float).tiny
+    sq[small] = 1.0
+    log_den = 0.5 * np.log(sq)
+    log_den[small] = np.log(np.hypot(z_re[small], z_im))
     arg_den = np.arctan2(z_im, z_re)
     log_mag = np.empty(n_max + 1)
     phase = np.empty(n_max + 1)

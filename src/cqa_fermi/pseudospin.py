@@ -16,7 +16,9 @@ one extra factor of i relative to s^-.  The finite-size terms
 
 are what remains of the pair-breaking sensitivity of the charging energy at
 finite L; with them the fermion and spin closures coincide identically at
-e_c = 0 and drift apart for e_c != 0.
+e_c = 0 and drift apart for e_c != 0.  Both closures are the one
+right-hand side ``kernels.moment_rhs``: its flag fs = 1 keeps the 1/L terms
+(a FERMION state) and fs = 0 drops them (a SPIN state).
 """
 
 from __future__ import annotations
@@ -70,53 +72,12 @@ class MomentState:
     def n_sites(self) -> int:
         return 2 * self.k.size
 
-    @property
-    def nbar(self) -> float:
-        """Mean density (M + 1)/2 implied by the magnetization."""
-        return 0.5 * (float(np.mean(self.s_z)) + 1.0)
-
-    @property
-    def mbar(self) -> float:
-        return float(np.mean(self.s_z))
-
 
 def vacuum_state(L: int, kind: str = FERMION) -> MomentState:
     k = momentum_grid(L)
     return MomentState(kind=kind, k=k,
                        s_minus=np.zeros(k.size, dtype=complex),
                        s_z=-np.ones(k.size))
-
-
-def fermion_moment_rhs(state: MomentState, mu: float, delta: float,
-                       e_c: float, kappa: float, nbar: float | None = None,
-                       finite_size: bool = True):
-    """Time derivatives (ds_minus, ds_z) of the fermion moment closure.
-
-    ``nbar`` defaults to the self-consistent value recomputed from the
-    state.  ``finite_size`` keeps the e_c/L terms of the finite-ring
-    closure; dropping them gives the thermodynamic-limit equations, which
-    are identical to the spin closure.
-    """
-    fs = 1.0 if finite_size else 0.0
-    return kernels.moment_rhs(state.s_minus, state.s_z,
-                              delta * np.sin(state.k), mu, e_c, kappa,
-                              float(state.n_sites), fs, nbar)
-
-
-def spin_moment_rhs(state: MomentState, mu: float, delta: float, e_c: float,
-                    kappa: float, mbar: float | None = None):
-    """Time derivatives under spin loss plus quarter-strength dephasing.
-
-    The transverse component decays at kappa/2 from the loss and kappa/2
-    from the dephasing; the longitudinal one at kappa entirely from loss.
-    """
-    if mbar is None:
-        mbar = state.mbar
-    dk = delta * np.sin(state.k)
-    coef = 2j * mu - 1j * e_c * (mbar + 1.0) - kappa
-    ds_minus = coef * state.s_minus + 2j * dk * state.s_z
-    ds_z = -kappa * (state.s_z + 1.0) - 8.0 * dk * state.s_minus.imag
-    return ds_minus, ds_z
 
 
 @dataclass(frozen=True)

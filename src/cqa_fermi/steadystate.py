@@ -65,15 +65,6 @@ class CoefficientTable:
     chain: ChainTables = field(repr=False)
     row: MuRow = field(repr=False)
 
-    def alpha_complex(self) -> np.ndarray:
-        """Native-complex coefficients; overflows for large chains.
-
-        Cross-check accessor: the log-domain arrays are the production
-        representation.
-        """
-        with np.errstate(over="ignore"):
-            return np.exp(self.alpha_log_mag + 1j * self.alpha_phase)
-
 
 def build_coefficients(params: ModelParams) -> CoefficientTable:
     """Coefficient table for the validated parameter set."""
@@ -162,10 +153,7 @@ def _point_table(p: ModelParams, chain: ChainTables, row: MuRow,
     weights += chain.log_counts
     log_norm = float(kernels.logsumexp_real(weights))
     weights -= log_norm
-    with np.errstate(invalid="ignore"):
-        lo, hi = kernels.exp_span(weights, pn)
-    live = pn[lo:hi]
-    live[np.isnan(live)] = 0.0
+    kernels.exp_span(weights, pn)
     return CoefficientTable(
         params=p,
         alpha_log_mag=log_mag,
@@ -270,9 +258,7 @@ def pair_expectation(tbl: CoefficientTable, m: int) -> complex:
         - tbl.log_norm
     )
     phase = tbl.alpha_phase[: n_max - m + 1] - tbl.alpha_phase[m:]
-    lm, ph = kernels.logsumexp_complex(
-        np.ascontiguousarray(log_mag), np.ascontiguousarray(phase)
-    )
+    lm, ph = kernels.logsumexp_complex(log_mag, np.exp(1j * phase))
     return _to_complex(lm, ph)
 
 
@@ -361,8 +347,7 @@ def _corr_sum(tbl: CoefficientTable, counts) -> complex:
     log_mag = alm[n_lo:] + alm[n_lo - 1 : -1]
     log_mag += log_count
     log_mag -= tbl.log_norm
-    lm, ph = kernels.logsumexp_complex(log_mag,
-                                       factor=tbl.row.step[n_lo - 1 :])
+    lm, ph = kernels.logsumexp_complex(log_mag, tbl.row.step[n_lo - 1 :])
     return _to_complex(lm, ph)
 
 

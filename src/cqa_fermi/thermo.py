@@ -131,10 +131,6 @@ class FreeEnergyProfile:
     delta_q_min: float | None
     wells: tuple[tuple[float, float], ...]
 
-    @property
-    def two_wells(self) -> bool:
-        return self.rho_low is not None and self.rho_high is not None
-
 
 def _golden_minimize(f, a, b, xtol: float = 1e-11) -> np.ndarray:
     """Golden-section minimizers on the brackets [a[i], b[i]], in lockstep.
@@ -394,15 +390,10 @@ def _log_beta_unnormalized(rho, mu, kappa, delta, L):
     mu_t = complex(mu, 0.5 * kappa)
     z = 1.0 - rho / (2.0 * mu_t)
     # half the covering entropy: the count appears once in |beta|^2
-    entropy = (
-        (1.0 - 0.5 * rho) * np.log(1.0 - 0.5 * rho)
-        - 0.5 * rho * np.log(0.5 * rho)
-        - (1.0 - rho) * np.log(1.0 - rho)
-    )
     exponent = (
         0.5 * rho * (1.0 + math.log(delta) - np.log(np.abs(mu_t)))
         + np.real((mu_t - 0.5 * rho) * np.log(z))
-        + 0.5 * entropy
+        - 0.5 * _entropy_terms(rho)
     )
     log_pref = (
         -0.5 * np.log(np.abs(z))

@@ -258,6 +258,43 @@ class TestCommands:
         assert run(["verify", "--level", level]) == 0
         assert len(calls) == builds
 
+    def test_verify_full_under_warnings_as_errors(self, capsys):
+        # verify silences only OddPbcLengthWarning (its odd ring); no other
+        # warning may hide behind it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--level", "full"]) == 0
+        pinned = DATA.parent.parent / "perfbench" / "reference" / "oracle"
+        assert capsys.readouterr().out == (pinned / "0.txt").read_text()
+
+    def test_verify_lets_other_warnings_through(self, monkeypatch, capsys):
+        steady_state = fock.steady_state
+
+        def warning_steady_state(*args, **kwargs):
+            warnings.warn("probe", RuntimeWarning)
+            return steady_state(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "steady_state", warning_steady_state)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["verify", "--level", "full"]) == 0
+        assert [str(w.message) for w in caught] == ["probe"] * 6
+
+    def test_resonance_at_underflowing_kappa(self, tmp_path):
+        # mu = 0.25 = e_c / L: (kappa/2)^2 underflows at kappa = 1e-200,
+        # and the row must still match the kappa = 1e-100 one
+        rows = []
+        for kappa in ("1e-100", "1e-200"):
+            out = tmp_path / f"pd{kappa}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["phase-diagram", "--L", "4", "--kappa", kappa,
+                            "--mu", "0.25", "--delta", "0.1",
+                            "--output", str(out)]) == 0
+            rows.append(np.loadtxt(out, delimiter=","))
+        assert np.all(np.isfinite(rows[1]))
+        assert np.abs(rows[1] - rows[0]).max() < 1e-12
+
     def test_verify_has_no_format_flag(self, tmp_path):
         out = tmp_path / "v.json"
         assert run(["verify", "--format", "json",
@@ -338,6 +375,15 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_VALIDATION
         out = tmp_path / "x.csv"
         assert run([*argv, "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_kappa_whose_half_rounds_to_zero_exits_two(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "pd.csv"
+        assert run(["phase-diagram", "--L", "4", "--kappa", "5e-324",
+                    "--mu", "0.25", "--delta", "0.1",
+                    "--output", str(out)]) == cli.EXIT_VALIDATION
+        assert "kappa/2 > 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("delta", ["0", "0.01"])

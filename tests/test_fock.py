@@ -122,6 +122,15 @@ class TestHamiltonian:
         with pytest.raises(DimensionMismatchError):
             fock.build_hamiltonian(np.zeros((4, 4)), 0.1, 0.0, ops)
 
+    def test_bare_pairing_must_be_antisymmetric(self):
+        # pair_creation reads only i < j, so unchecked, a lower triangle
+        # alone would give no pairing and D would act as D - D^T
+        ops = fock.build_operators(3)
+        upper = np.triu(nearest_neighbor_pairing(3, 0.3, OBC).entries)
+        for bad in (upper.T, upper):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                fock.build_hamiltonian(bad, 0.2, 1.0, ops)
+
     @pytest.mark.parametrize("L", [2, 3, 4])
     @pytest.mark.parametrize("bc", [PBC, OBC])
     @pytest.mark.parametrize("detuning", [None, 0.0, 0.3, -0.3])
@@ -240,6 +249,22 @@ class TestSteadyState:
             assert len(calls) == 1
             assert fock.trace_distance(lu, evolved) < 1e-13
 
+    def test_evolution_path_skips_the_spectrum_check(self, monkeypatch):
+        # degeneracy_check=True is honoured only where the LU runs: past
+        # LU_MAX_DIM no spectrum of the full Liouvillian is computed
+        p = ModelParams(L=2, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.1)
+        ops, H = fock.single_system(p)
+        liouv = fock.build_liouvillian(H, ops, p.kappa)
+        lu = fock.steady_state(liouv, degeneracy_check=True)
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectrum check on the evolution path")
+
+        monkeypatch.setattr(fock, "LU_MAX_DIM", 0)
+        monkeypatch.setattr(fock, "smallest_eigenvalues", no_spectrum)
+        evolved = fock.steady_state(liouv, degeneracy_check=True)
+        assert fock.trace_distance(lu, evolved) < 1e-13
+
 
 class TestCqaState:
     def test_vacuum_at_zero_pairing(self):
@@ -253,7 +278,7 @@ class TestCqaState:
         p = ModelParams(L=L, bc=bc, mu=0.23, delta=0.17, e_c=0.9, kappa=0.13)
         psi, system = cqa_state_and_system(p)
         tbl = ss.build_coefficients(p)
-        alpha = tbl.alpha_complex()
+        alpha = np.exp(tbl.alpha_log_mag + 1j * tbl.alpha_phase)
         occ = np.bitwise_count(np.arange(psi.size, dtype=np.uint32))
         norm_sq = np.vdot(psi, psi).real
         total = sum(abs(alpha[n]) ** 2
@@ -305,7 +330,8 @@ class TestCqaState:
         pair_part = B @ v
         # nudge the one-pair amplitude by 1e-3
         tbl = ss.build_coefficients(p)
-        bad = psi + 1e-3 * tbl.alpha_complex()[1] * pair_part
+        a1 = np.exp(tbl.alpha_log_mag[1] + 1j * tbl.alpha_phase[1])
+        bad = psi + 1e-3 * a1 * pair_part
         bad /= np.linalg.norm(bad)
         rep = fock.verify_dark_conditions(bad, system)
         assert rep.hamiltonian_residual > 1e-5
@@ -382,11 +408,12 @@ class TestHtrsBreaking:
     def test_pumping_breaks_antisymmetry_monotonically(self):
         p = ModelParams(L=4, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
         times = np.linspace(0.0, 300.0, 121)
-        rep = fock.htrs_breaking(p, 0.1 * p.kappa, times)
-        assert rep.asymmetry[0] < 1e-10
-        assert rep.asymmetry[-1] > 1e-6
-        assert rep.asymmetry[-1] > 1e3 * rep.asymmetry[0]
-        assert rep.monotone
+        asym = fock.htrs_breaking(p, 0.1 * p.kappa, times)
+        assert asym.shape == (3,)
+        assert asym[0] < 1e-10
+        assert asym[-1] > 1e-6
+        assert asym[-1] > 1e3 * asym[0]
+        assert np.all(np.diff(asym) > 0)
 
     def test_negative_rate_rejected(self):
         p = ModelParams(L=2, bc=OBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
@@ -632,7 +659,7 @@ class TestTaylorPropagator:
 
 @pytest.mark.slow
 def test_onsager_at_figure_size():
-    """Optional L=8 run (evolution-fallback steady state, ~1 minute)."""
+    """Optional L=8 run (evolution-fallback steady state, ~30 s)."""
     p = ModelParams(L=8, bc=PBC, mu=0.2, delta=0.15, e_c=1.0, kappa=0.01)
     ops, H = fock.single_system(p)
     liouv = fock.build_liouvillian(H, ops, p.kappa)

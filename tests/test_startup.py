@@ -10,7 +10,6 @@ import sys
 import pytest
 
 import cqa_fermi
-from cqa_fermi import steadystate
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cqa_fermi.__file__)))
 
@@ -56,12 +55,6 @@ def test_no_source_file_imports_scipy_integrate():
     offenders = [str(path) for path in pathlib.Path(SRC).rglob("*.py")
                  if pattern.search(path.read_text(encoding="utf-8"))]
     assert offenders == []
-
-
-@pytest.mark.parametrize("name", ["CoefficientTable", "build_coefficients",
-                                  "mean_density"])
-def test_steadystate_names_served_by_package(name):
-    assert getattr(cqa_fermi, name) is getattr(steadystate, name)
 
 
 def test_unknown_package_attribute_raises():

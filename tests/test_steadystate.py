@@ -43,7 +43,7 @@ class TestCoefficientTable:
         tbl = table(L=12, e_c=0.0, mu=0.2, delta=0.15, kappa=0.3)
         ratio = tbl.params.delta / complex(tbl.params.mu,
                                            0.5 * tbl.params.kappa)
-        alpha = tbl.alpha_complex()
+        alpha = np.exp(tbl.alpha_log_mag + 1j * tbl.alpha_phase)
         for n in range(tbl.chain.n_max + 1):
             assert alpha[n] == pytest.approx(ratio**n, rel=1e-12)
 
@@ -67,7 +67,8 @@ class TestCoefficientTable:
         for n in range(1, tbl.chain.n_max + 1):
             direct.append(direct[-1] * p.delta
                           / (complex(p.mu, 0.5 * p.kappa) - n * p.e_c / p.L))
-        assert np.allclose(tbl.alpha_complex(), direct, rtol=1e-12)
+        assert np.allclose(np.exp(tbl.alpha_log_mag + 1j * tbl.alpha_phase),
+                           direct, rtol=1e-12)
 
 
 class TestDensityAndMoments:

@@ -13,6 +13,11 @@ from cqa_fermi.errors import (
 )
 
 
+def both_wells(prof):
+    """True when the profile has a well on each side of rho = 2 mu."""
+    return prof.rho_low is not None and prof.rho_high is not None
+
+
 class TestFreeEnergy:
     def test_vanishes_at_low_density_weak_mode(self):
         assert thermo.free_energy(1e-12, 0.2, 0.0, 0.02, "weak") == (
@@ -37,7 +42,7 @@ class TestFreeEnergy:
         # near-degenerate at the 5-digit quoted point, degenerate at the
         # self-located crossing
         prof = thermo.profile(0.2, 0.0, 0.02122, "weak")
-        assert prof.two_wells
+        assert both_wells(prof)
         assert abs(prof.delta_q_min) < 5e-4
         dc = thermo.critical_delta(0.2, mode="weak", tol=1e-9)
         assert abs(thermo.profile(0.2, 0.0, dc, "weak").delta_q_min) < 1e-7
@@ -141,12 +146,12 @@ class TestProfile:
     def test_single_well_outside_critical_range(self):
         for delta in (0.02, 0.1, 0.3):
             prof = thermo.profile(-0.3, 0.0, delta, "weak")
-            assert not prof.two_wells
+            assert not both_wells(prof)
 
     def test_wells_straddle_twice_mu(self):
         for delta in (0.02, 0.021, 0.0224):
             prof = thermo.profile(0.2, 1e-3, delta, "full")
-            if prof.two_wells:
+            if both_wells(prof):
                 assert prof.rho_low <= 0.4 <= prof.rho_high
 
     def test_grid_size_guard(self):
@@ -162,12 +167,12 @@ class TestProfile:
             "full": ([0.2, 0.25, 0.2], [1e-3, 1e-3, 0.05], [0.021, 0.0, 0.3],
                      [True, False, False]),
         }
-        for mode, (mu, kappa, delta, two_wells) in batches.items():
+        for mode, (mu, kappa, delta, wells) in batches.items():
             batch = thermo.profile(mu, kappa, delta, mode, grid_size=2048)
             assert isinstance(batch, tuple) and len(batch) == len(mu)
             singles = [thermo.profile(m, k, d, mode, grid_size=2048)
                        for m, k, d in zip(mu, kappa, delta)]
-            assert [p.two_wells for p in singles] == two_wells
+            assert [both_wells(p) for p in singles] == wells
             for got, want in zip(batch, singles):
                 for name in ("mu", "kappa", "delta", "mode", "rho_min",
                              "rho_low", "rho_high", "delta_q_min", "wells"):
